@@ -10,7 +10,8 @@ use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::QuarantineEntry;
 use chatlens_platforms::id::PlatformKind;
-use chatlens_simnet::hash::{to_hex, Sha256};
+use chatlens_platforms::service::write_message;
+use chatlens_simnet::hash::{to_hex, Sha256Sink};
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
@@ -321,8 +322,7 @@ pub(crate) struct TweetRollup {
 /// Streaming builder for [`TweetRollup`]: one partition's worth of
 /// tweets in memory at a time, constant-size accumulator state.
 pub(crate) struct TweetRollupBuilder {
-    hasher: Sha256,
-    line: String,
+    hasher: Sha256Sink,
     authors: HashSet<u32>,
     kind_authors: [HashSet<u32>; 3],
     kind_tweets: [u64; 3],
@@ -334,8 +334,7 @@ pub(crate) struct TweetRollupBuilder {
 impl TweetRollupBuilder {
     pub(crate) fn new() -> TweetRollupBuilder {
         TweetRollupBuilder {
-            hasher: Sha256::new(),
-            line: String::new(),
+            hasher: Sha256Sink::new(),
             authors: HashSet::new(),
             kind_authors: [HashSet::new(), HashSet::new(), HashSet::new()],
             kind_tweets: [0; 3],
@@ -364,18 +363,17 @@ impl TweetRollupBuilder {
                 self.kind_authors[i].insert(ct.tweet.author.0);
             }
         }
-        self.line.clear();
+        let line = self.hasher.buffer_mut();
+        ct.tweet.encode_into(line);
         writeln!(
-            self.line,
-            "{}|seen={}|search={}|stream={}|control={}",
-            ct.tweet.encode(),
+            line,
+            "|seen={}|search={}|stream={}|control={}",
             ct.seen_at.as_secs(),
             ct.via_search,
             ct.via_stream,
             ct.tweet.is_control
         )
         .unwrap();
-        self.hasher.update(self.line.as_bytes());
     }
 
     /// Add one control tweet (global append order, after every
@@ -383,9 +381,10 @@ impl TweetRollupBuilder {
     pub(crate) fn add_control(&mut self, tw: &Tweet) {
         self.control_phase = true;
         self.control_total += 1;
-        self.line.clear();
-        writeln!(self.line, "ctl {}|control={}", tw.encode(), tw.is_control).unwrap();
-        self.hasher.update(self.line.as_bytes());
+        let line = self.hasher.buffer_mut();
+        line.push_str("ctl ");
+        tw.encode_into(line);
+        writeln!(line, "|control={}", tw.is_control).unwrap();
     }
 
     pub(crate) fn finish(self) -> TweetRollup {
@@ -481,13 +480,12 @@ impl ReportInputs<'_> {
 /// the budgeted streaming path both funnel through here, so the two
 /// are byte-identical by construction.
 pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_>) -> String {
-    // Hash a canonical multi-line serialization built by `f`.
-    fn digest(f: impl FnOnce(&mut String)) -> String {
-        let mut buf = String::new();
-        f(&mut buf);
-        let mut h = Sha256::new();
-        h.update(buf.as_bytes());
-        to_hex(&h.finalize())
+    // Hash a canonical multi-line serialization as `f` writes it: the
+    // text streams through the sink and is never held whole.
+    fn digest(f: impl FnOnce(&mut Sha256Sink)) -> String {
+        let mut sink = Sha256Sink::new();
+        f(&mut sink);
+        to_hex(&sink.finalize())
     }
 
     let mut out = String::new();
@@ -578,7 +576,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
             if let Some(v) = &tl.wa_creator_hash {
                 write!(buf, "|creator_hash={v}").unwrap();
             }
-            buf.push('\n');
+            buf.write_char('\n').unwrap();
             for o in tl.iter() {
                 obs += 1;
                 match o.status {
@@ -620,7 +618,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
             for d in days {
                 write!(buf, " {d}").unwrap();
             }
-            buf.push('\n');
+            buf.write_char('\n').unwrap();
         }
     });
     writeln!(out, "gaps: groups={gap_groups} days={gap_days}").unwrap();
@@ -649,14 +647,10 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
                 .unwrap();
             }
             for msg in &jg.messages {
-                writeln!(
-                    buf,
-                    "  g {} {} {}",
-                    msg.at.as_secs(),
-                    msg.sender.0,
-                    msg.kind.index()
-                )
-                .unwrap();
+                let line = buf.buffer_mut();
+                line.push_str("  g ");
+                write_message(line, msg);
+                line.push('\n');
             }
         }
     });

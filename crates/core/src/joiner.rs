@@ -396,7 +396,9 @@ fn tick(cursor: &mut SimTime) -> SimTime {
 }
 
 fn parse_messages(doc: &chatlens_platforms::wire::WireView<'_>) -> Result<Vec<Message>, CoreError> {
-    let mut out = Vec::new();
+    // Sized from the parsed line count, which `MAX_LINES` bounds — not
+    // from any count the body claims.
+    let mut out = Vec::with_capacity(doc.len());
     for raw in doc.get_all("msg") {
         let Some(m) = parse_message(raw) else {
             return Err(CoreError::Protocol(format!("bad message: {raw:?}")));

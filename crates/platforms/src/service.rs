@@ -21,22 +21,36 @@
 //! | `discord/api/user?id=` | profile + connected accounts | account |
 //!
 //! Responses are [`crate::wire`] documents; messages are encoded one per `msg`
-//! field via [`encode_message`] / [`parse_message`].
+//! field via [`write_message`] / [`parse_message`].
 
 use crate::group::Group;
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
-use crate::wire::{sanitize, WireDoc};
+use crate::wire::{push_decimal, sanitize, WireDoc};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Service, Status};
 
-/// Encode a message as a single wire-field value: `<secs> <sender> <kind>`.
-pub fn encode_message(m: &Message) -> String {
-    format!("{} {} {}", m.at.as_secs(), m.sender.0, m.kind.index())
+/// Append a message's single wire-field value, `<secs> <sender> <kind>`,
+/// to `out`. The report's `joined` digest writes the same text.
+pub fn write_message(out: &mut String, m: &Message) {
+    push_decimal(out, m.at.as_secs());
+    out.push(' ');
+    push_decimal(out, u64::from(m.sender.0));
+    out.push(' ');
+    push_decimal(out, m.kind.index() as u64);
 }
 
-/// Parse a value produced by [`encode_message`].
+/// Bytes to reserve per message line of a history document: `\nmsg: `
+/// plus a 10-digit timestamp, a 7-digit sender and a kind digit.
+const MSG_LINE_BYTES: usize = 26;
+
+/// A history document pre-sized for `messages` lines.
+fn history_doc(kind: &'static str, messages: usize) -> WireDoc {
+    WireDoc::with_capacity(kind, 64 + messages * MSG_LINE_BYTES)
+}
+
+/// Parse a value produced by [`write_message`].
 pub fn parse_message(s: &str) -> Option<Message> {
     let mut it = s.split(' ');
     let at = it.next()?.parse().ok()?;
@@ -243,9 +257,9 @@ impl Platform {
             return not_found("history not materialized");
         };
         // WhatsApp only reveals messages sent *after* the join date (§3.3).
-        let mut doc = WireDoc::new("wa-messages").field("group", gid.0);
+        let mut doc = history_doc("wa-messages", history.messages.len()).field("group", gid.0);
         for m in history.messages.iter().filter(|m| m.at >= joined_at) {
-            doc = doc.field_string("msg", encode_message(m));
+            doc = doc.field_with("msg", |out| write_message(out, m));
         }
         Response::ok(doc.render())
     }
@@ -312,11 +326,11 @@ impl Platform {
             return not_found("history not materialized");
         };
         // Telegram's API returns the full history since creation (§3.3).
-        let mut doc = WireDoc::new("tg-history")
+        let mut doc = history_doc("tg-history", history.messages.len())
             .field("group", gid.0)
             .field("created_day", group.created_at.date().day_number());
         for m in &history.messages {
-            doc = doc.field_string("msg", encode_message(m));
+            doc = doc.field_with("msg", |out| write_message(out, m));
         }
         Response::ok(doc.render())
     }
@@ -431,11 +445,11 @@ impl Platform {
         let Some(history) = group.history.as_ref() else {
             return not_found("history not materialized");
         };
-        let mut doc = WireDoc::new("dc-messages")
+        let mut doc = history_doc("dc-messages", history.messages.len())
             .field("group", gid.0)
             .field("created_day", group.created_at.date().day_number());
         for m in &history.messages {
-            doc = doc.field_string("msg", encode_message(m));
+            doc = doc.field_with("msg", |out| write_message(out, m));
         }
         Response::ok(doc.render())
     }
@@ -579,10 +593,82 @@ mod tests {
             at: SimTime::from_secs(123_456),
             kind: MessageKind::Sticker,
         };
-        assert_eq!(parse_message(&encode_message(&m)), Some(m));
+        let mut encoded = String::new();
+        write_message(&mut encoded, &m);
+        assert_eq!(encoded, "123456 17 4");
+        assert_eq!(parse_message(&encoded), Some(m));
         assert_eq!(parse_message("garbage"), None);
         assert_eq!(parse_message("1 2 99"), None, "kind out of range");
         assert_eq!(parse_message("1 2 3 4"), None, "trailing junk");
+    }
+
+    /// Install `messages` as the group's history, join it on account 0 at
+    /// `now()`, and fetch the platform's history endpoint. Returns the
+    /// served body and the body built field by field through
+    /// [`WireDoc::field`] with `Display` values.
+    fn history_bodies(kind: PlatformKind, messages: Vec<Message>) -> (String, String) {
+        let (mut p, gid, code) = build_platform(kind);
+        let members = p.group(gid).history.as_ref().unwrap().members.clone();
+        p.install_history(
+            gid,
+            GroupHistory {
+                members,
+                messages: messages.clone(),
+            },
+        );
+        p.create_account();
+        let (join, history, doc_kind) = match kind {
+            PlatformKind::WhatsApp => ("whatsapp/join", "whatsapp/messages", "wa-messages"),
+            PlatformKind::Telegram => ("telegram/api/join", "telegram/api/history", "tg-history"),
+            PlatformKind::Discord => ("discord/api/join", "discord/api/messages", "dc-messages"),
+        };
+        let resp = p.handle(now(), &req(join).with("account", "0").with("code", code));
+        assert_eq!(resp.status, Status::Ok);
+        let resp = p.handle(
+            now(),
+            &req(history)
+                .with("account", "0")
+                .with("group", gid.0.to_string()),
+        );
+        assert_eq!(resp.status, Status::Ok);
+        let mut expected = WireDoc::new(doc_kind).field("group", gid.0);
+        if kind != PlatformKind::WhatsApp {
+            let created = Date::new(2020, 4, 1).day_number();
+            expected = expected.field("created_day", created);
+        }
+        for m in &messages {
+            if kind == PlatformKind::WhatsApp && m.at < now() {
+                continue;
+            }
+            let value = format!("{} {} {}", m.at.as_secs(), m.sender.0, m.kind.index());
+            expected = expected.field("msg", value);
+        }
+        (resp.body, expected.render())
+    }
+
+    #[test]
+    fn history_bodies_match_field_by_field_rendering() {
+        let start = Date::new(2020, 4, 1).midnight();
+        let many: Vec<Message> = (0..200u32)
+            .map(|i| Message {
+                sender: UserId(if i == 7 { u32::MAX } else { i * 7919 }),
+                at: start + SimDuration::hours(u64::from(i) * 3),
+                kind: MessageKind::ALL[i as usize % MessageKind::ALL.len()],
+            })
+            .collect();
+        for kind in PlatformKind::ALL {
+            let (served, expected) = history_bodies(kind, Vec::new());
+            assert_eq!(served, expected, "{kind:?}: empty history");
+            let (served, expected) = history_bodies(kind, many.clone());
+            assert_eq!(served, expected, "{kind:?}: multi-message history");
+            assert!(served.lines().filter(|l| l.starts_with("msg: ")).count() > 0);
+        }
+        // A WhatsApp join after every message: the filter drops them all.
+        let before_join: Vec<Message> = many.iter().copied().filter(|m| m.at < now()).collect();
+        assert!(!before_join.is_empty());
+        let (served, expected) = history_bodies(PlatformKind::WhatsApp, before_join);
+        assert_eq!(served, expected, "WhatsApp join after every message");
+        assert!(!served.contains("msg: "), "{served:?}");
     }
 
     #[test]

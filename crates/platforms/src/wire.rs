@@ -176,26 +176,28 @@ macro_rules! wire_accessors {
             }
         }
 
-        /// Number of fields.
-        pub fn len(&self) -> usize {
-            self.fields.len()
-        }
-
         /// Whether the document has no fields.
         pub fn is_empty(&self) -> bool {
-            self.fields.is_empty()
+            self.len() == 0
         }
     };
 }
 
 /// A parsed (or under-construction) wire document.
+///
+/// Fields are written straight into one buffer as they are appended —
+/// the body minus its kind line and count header — with a running field
+/// count, so building a document allocates per buffer growth, not per
+/// field, and [`WireDoc::render`] is one copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireDoc {
     /// Document type (the first line). Borrowed for the static kind
     /// literals every service uses; owned only when copied out of a
     /// parsed body ([`WireView::to_doc`]).
     pub kind: Cow<'static, str>,
-    fields: Vec<(Cow<'static, str>, String)>,
+    /// Every field as `\n<key>: <value>`, in order.
+    lines: String,
+    count: usize,
 }
 
 /// A zero-copy parsed wire document: the kind line and every key/value
@@ -224,6 +226,10 @@ impl<'a> WireView<'a> {
             .filter(|l| !l.is_empty())
             .ok_or(WireError::Empty)?;
         let mut fields: Vec<(&str, &str)> = Vec::new();
+        // The `n` count header, when it is the first field line: held
+        // aside (never pushed) and checked once every line has passed
+        // the guards, so errors surface in the same order as ever.
+        let mut header: Option<&str> = None;
         let mut seen = 0usize;
         for line in lines {
             if line.is_empty() {
@@ -246,10 +252,13 @@ impl<'a> WireView<'a> {
                     limit: MAX_VALUE_LEN,
                 });
             }
-            fields.push((k, v));
+            if seen == 1 && k == "n" {
+                header = Some(v);
+            } else {
+                fields.push((k, v));
+            }
         }
-        if fields.first().is_some_and(|&(k, _)| k == "n") {
-            let (_, declared) = fields.remove(0);
+        if let Some(declared) = header {
             let declared: usize = declared
                 .parse()
                 // lint:allow(D10) error-path only: a bad count header aborts the parse
@@ -280,15 +289,19 @@ impl<'a> WireView<'a> {
     /// Copy into an owning [`WireDoc`] (for retention past the body's
     /// lifetime).
     pub fn to_doc(&self) -> WireDoc {
+        let bytes: usize = self.fields.iter().map(|(k, v)| k.len() + v.len() + 3).sum();
+        let mut lines = String::with_capacity(bytes);
+        for &(k, v) in &self.fields {
+            lines.push('\n');
+            lines.push_str(k);
+            lines.push_str(": ");
+            lines.push_str(v);
+        }
         WireDoc {
             // lint:allow(D10) to_doc IS the sanctioned copy: callers opt into retention past the borrowed body
             kind: Cow::Owned(self.kind.to_string()),
-            fields: self
-                .fields
-                .iter()
-                // lint:allow(D10) to_doc IS the sanctioned copy: callers opt into retention past the borrowed body
-                .map(|&(k, v)| (Cow::Owned(k.to_string()), v.to_string()))
-                .collect(),
+            lines,
+            count: self.fields.len(),
         }
     }
 
@@ -314,13 +327,18 @@ impl<'a> WireView<'a> {
         self.fields.iter().copied()
     }
 
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.fields.len()
+    }
+
     wire_accessors!();
 }
 
 impl PartialEq<WireDoc> for WireView<'_> {
     fn eq(&self, other: &WireDoc) -> bool {
         self.kind == other.kind
-            && self.fields.len() == other.fields.len()
+            && self.len() == other.len()
             && self
                 .fields_iter()
                 .zip(other.fields_iter())
@@ -337,9 +355,17 @@ impl PartialEq<WireView<'_>> for WireDoc {
 impl WireDoc {
     /// Start building a document of type `kind`.
     pub fn new(kind: impl Into<Cow<'static, str>>) -> WireDoc {
+        WireDoc::with_capacity(kind, 0)
+    }
+
+    /// [`WireDoc::new`] with room for `bytes` of field lines up front:
+    /// endpoints that know how many lines they are about to write (a
+    /// message history) size the buffer once instead of growing it.
+    pub fn with_capacity(kind: impl Into<Cow<'static, str>>, bytes: usize) -> WireDoc {
         WireDoc {
             kind: kind.into(),
-            fields: Vec::new(),
+            lines: String::with_capacity(bytes),
+            count: 0,
         }
     }
 
@@ -350,28 +376,47 @@ impl WireDoc {
     /// free-form text (group titles) first via [`sanitize`] — or if the
     /// key is the reserved field-count header `n`.
     pub fn field(self, key: impl Into<Cow<'static, str>>, value: impl fmt::Display) -> WireDoc {
-        // lint:allow(D10) Display rendering must own; hot callers use field_string to move instead
-        self.field_string(key, value.to_string())
+        self.field_with(key, |out| {
+            let _ = write!(out, "{value}");
+        })
     }
 
-    /// [`WireDoc::field`] for a value that is already an owned `String`:
-    /// moves it into the document instead of taking the extra copy the
-    /// `Display` path would (the feeds attach millions of pre-encoded
-    /// tweet/message payloads per campaign).
+    /// [`WireDoc::field`] for a value that is already a `String`, copied
+    /// in without a trip through `Display`.
     ///
     /// # Panics
     /// Same contract as [`WireDoc::field`].
-    pub fn field_string(mut self, key: impl Into<Cow<'static, str>>, value: String) -> WireDoc {
+    pub fn field_string(self, key: impl Into<Cow<'static, str>>, value: String) -> WireDoc {
+        self.field_with(key, |out| out.push_str(&value))
+    }
+
+    /// Append a field whose value `write` appends straight onto the
+    /// document's buffer — the path for per-record encoders
+    /// ([`crate::service::write_message`], the tweet feeds), which then
+    /// need no intermediate `String` per line.
+    ///
+    /// # Panics
+    /// Same contract as [`WireDoc::field`].
+    pub fn field_with(
+        mut self,
+        key: impl Into<Cow<'static, str>>,
+        write: impl FnOnce(&mut String),
+    ) -> WireDoc {
         let key = key.into();
+        let start = self.lines.len();
+        self.lines.push('\n');
+        self.lines.push_str(&key);
+        self.lines.push_str(": ");
+        write(&mut self.lines);
         assert!(
-            !value.contains('\n') && !key.contains('\n'),
+            !self.lines[start + 1..].contains('\n'),
             "wire fields must be single-line"
         );
         assert!(
             key != "n",
             "field key \"n\" is reserved for the count header"
         );
-        self.fields.push((key, value));
+        self.count += 1;
         self
     }
 
@@ -379,19 +424,12 @@ impl WireDoc {
     /// `n: <count>` header so parsers can detect dropped/duplicated lines;
     /// [`WireDoc::parse`] strips it back out.
     pub fn render(&self) -> String {
-        // Exact size up front (plus the count header's few digits): large
-        // pages carry hundreds of encoded payload lines, and growth
-        // re-copies would double the memory traffic of rendering.
-        let body: usize = self.fields.iter().map(|(k, v)| k.len() + v.len() + 3).sum();
-        let mut out = String::with_capacity(self.kind.len() + 8 + body);
+        // Exact size up front (the count header is at most 24 bytes).
+        let mut out = String::with_capacity(self.kind.len() + 24 + self.lines.len());
         out.push_str(&self.kind);
-        let _ = write!(out, "\nn: {}", self.fields.len());
-        for (k, v) in &self.fields {
-            out.push('\n');
-            out.push_str(k);
-            out.push_str(": ");
-            out.push_str(v);
-        }
+        out.push_str("\nn: ");
+        push_decimal(&mut out, self.count as u64);
+        out.push_str(&self.lines);
         out
     }
 
@@ -417,10 +455,40 @@ impl WireDoc {
     }
 
     fn fields_iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
-        self.fields.iter().map(|(k, v)| (k.as_ref(), v.as_str()))
+        // Every line was written as `<key>: <value>`; the split is the
+        // one a parser of the rendered body makes.
+        self.lines
+            .split('\n')
+            .skip(1)
+            .map(|line| line.split_once(": ").unwrap_or((line, "")))
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.count
     }
 
     wire_accessors!();
+}
+
+/// Append the decimal digits of `v` to `out` without going through
+/// `core::fmt` — the encoders of the per-record wire lines (message
+/// histories, tweet feeds) and of the report digests write millions of
+/// numbers per campaign. Same bytes as `Display`.
+pub fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Replace newlines in free-form text (group titles come from user input)
@@ -573,6 +641,32 @@ mod tests {
         let body = doc.render();
         let parsed = WireDoc::parse(&body).unwrap();
         assert_eq!(parsed.get("title"), Some("Grupo: Vagas 🚀 SP: zona sul"));
+    }
+
+    #[test]
+    fn push_decimal_matches_display() {
+        for v in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn field_with_renders_like_field() {
+        let by_display = WireDoc::new("h").field("group", 7u32).field("msg", "1 2 3");
+        let by_writer = WireDoc::with_capacity("h", 64)
+            .field("group", 7u32)
+            .field_with("msg", |out| out.push_str("1 2 3"));
+        assert_eq!(by_writer, by_display);
+        assert_eq!(by_writer.render(), "h\nn: 2\ngroup: 7\nmsg: 1 2 3");
+        assert_eq!(by_writer.get("msg"), Some("1 2 3"));
+    }
+
+    #[test]
+    #[should_panic(expected = "single-line")]
+    fn field_with_rejects_embedded_newline() {
+        let _ = WireDoc::new("t").field_with("msg", |out| out.push_str("1\n2"));
     }
 
     #[test]

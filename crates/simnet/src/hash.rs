@@ -3,6 +3,10 @@
 //! The paper's ethics protocol (§3.4) stores only one-way hashes of phone
 //! numbers. The offline crate set has no hashing crate, so the digest is
 //! implemented here and validated against the official NIST test vectors.
+//! [`Sha256Sink`] lets formatted text stream into a digest without first
+//! materializing it.
+
+use std::fmt;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -155,6 +159,64 @@ impl Sha256 {
     }
 }
 
+/// Bytes a [`Sha256Sink`] gathers before absorbing them into the hasher.
+const SINK_FLUSH: usize = 8 * 1024;
+
+/// A buffered [`fmt::Write`] sink over a [`Sha256`]: text written to it
+/// is gathered in one reusable buffer and absorbed a few kilobytes at a
+/// time, so hashing a canonical multi-line serialization never holds
+/// the whole serialization in memory. The digest equals the one-shot
+/// digest of the concatenated writes.
+#[derive(Debug, Clone)]
+pub struct Sha256Sink {
+    hasher: Sha256,
+    buf: String,
+}
+
+impl Default for Sha256Sink {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sha256Sink {
+    /// A fresh sink.
+    pub fn new() -> Sha256Sink {
+        Sha256Sink {
+            hasher: Sha256::new(),
+            buf: String::with_capacity(SINK_FLUSH + 256),
+        }
+    }
+
+    /// The pending buffer, for encoders that append to a `String`
+    /// directly: whatever they push is hashed as if written with
+    /// [`fmt::Write::write_str`].
+    pub fn buffer_mut(&mut self) -> &mut String {
+        if self.buf.len() >= SINK_FLUSH {
+            self.flush();
+        }
+        &mut self.buf
+    }
+
+    fn flush(&mut self) {
+        self.hasher.update(self.buf.as_bytes());
+        self.buf.clear();
+    }
+
+    /// Absorb what is pending and return the 32-byte digest.
+    pub fn finalize(mut self) -> [u8; 32] {
+        self.flush();
+        self.hasher.finalize()
+    }
+}
+
+impl fmt::Write for Sha256Sink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.buffer_mut().push_str(s);
+        Ok(())
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
@@ -246,6 +308,50 @@ mod tests {
             }
             assert_eq!(h.finalize(), d1, "mismatch at length {n}");
         }
+    }
+
+    #[test]
+    fn sink_digest_equals_oneshot() {
+        use std::fmt::Write as _;
+        let text: String = (0u32..40_000)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        // Small writes around the block size, then writes that end just
+        // short of, exactly on, and past the flush boundary, and one
+        // larger than the whole buffer.
+        let sizes = [
+            1usize,
+            63,
+            64,
+            65,
+            SINK_FLUSH - 1 - (1 + 63 + 64 + 65),
+            2,
+            SINK_FLUSH - 1,
+            1,
+            SINK_FLUSH + 1,
+            3 * SINK_FLUSH,
+            7,
+        ];
+        let mut sink = Sha256Sink::new();
+        let mut rest = text.as_str();
+        for size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at((*size).min(rest.len()));
+            sink.write_str(head).unwrap();
+            rest = tail;
+        }
+        assert_eq!(sink.finalize(), sha256(text.as_bytes()));
+
+        // Encoders appending to the pending buffer hash the same bytes.
+        let mut sink = Sha256Sink::new();
+        for chunk in text.as_bytes().chunks(100) {
+            let chunk = std::str::from_utf8(chunk).unwrap();
+            sink.buffer_mut().push_str(chunk);
+        }
+        assert_eq!(sink.finalize(), sha256(text.as_bytes()));
+        assert_eq!(Sha256Sink::new().finalize(), sha256(b""));
     }
 
     #[test]

@@ -179,7 +179,13 @@ impl TweetStore {
     /// accounting floor for the store — a deterministic function of the
     /// scenario, never of allocator behavior.
     pub fn encoded_bytes(&self) -> u64 {
-        let wire: u64 = self.tweets.iter().map(|t| t.encode().len() as u64).sum();
+        let mut line = String::new();
+        let mut wire = 0u64;
+        for t in &self.tweets {
+            line.clear();
+            t.encode_into(&mut line);
+            wire += line.len() as u64;
+        }
         wire + self.host_bits.len() as u64
             + 4 * (self.matching.len() as u64 + self.control.len() as u64)
     }
@@ -273,7 +279,7 @@ impl TweetStore {
                 more = true;
                 break;
             }
-            doc = doc.field_string("tweet", self.tweets[i as usize].encode());
+            doc = doc.field_with("tweet", |out| self.tweets[i as usize].encode_into(out));
             emitted += 1;
         }
         if more {
@@ -327,7 +333,7 @@ impl TweetStore {
                 more = true;
                 break;
             }
-            doc = doc.field_string("tweet", self.tweets[i as usize].encode());
+            doc = doc.field_with("tweet", |out| self.tweets[i as usize].encode_into(out));
             emitted += 1;
         }
         if more {

@@ -6,6 +6,7 @@
 //! embedded URLs as **raw strings** the extraction pipeline must parse
 //! (§3.1), and tokenized text for LDA (Table 3).
 
+use chatlens_platforms::wire::push_decimal;
 use chatlens_simnet::time::SimTime;
 use std::fmt;
 
@@ -151,25 +152,30 @@ impl Tweet {
     /// Encode to the wire-field value used by the `twitter/*` endpoints:
     /// `<id>|<author>|<secs>|<lang>|<hashtags>|<mentions>|<rt|->|<url,url>|<tok tok>`.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        // Single output buffer: the feeds encode millions of tweets per
-        // campaign, so no per-token/per-url intermediate strings.
         let urls_len: usize = self.urls.iter().map(|u| u.len() + 1).sum();
         let mut out = String::with_capacity(48 + urls_len + self.tokens.len() * 6);
-        let _ = write!(
-            out,
-            "{}|{}|{}|{}|{}|{}|",
-            self.id.0,
-            self.author.0,
-            self.at.as_secs(),
-            self.lang.code(),
-            self.hashtags,
-            self.mentions,
-        );
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`Tweet::encode`]'s value to `out`. The feeds and the
+    /// report's tweets digest encode millions of tweets per campaign, so
+    /// they write into one buffer with no per-tweet `String`.
+    pub fn encode_into(&self, out: &mut String) {
+        push_decimal(out, self.id.0);
+        out.push('|');
+        push_decimal(out, u64::from(self.author.0));
+        out.push('|');
+        push_decimal(out, self.at.as_secs());
+        out.push('|');
+        out.push_str(self.lang.code());
+        out.push('|');
+        push_decimal(out, u64::from(self.hashtags));
+        out.push('|');
+        push_decimal(out, u64::from(self.mentions));
+        out.push('|');
         match self.retweet_of {
-            Some(TweetId(id)) => {
-                let _ = write!(out, "{id}");
-            }
+            Some(TweetId(id)) => push_decimal(out, id),
             None => out.push('-'),
         }
         out.push('|');
@@ -180,13 +186,12 @@ impl Tweet {
             out.push_str(u);
         }
         out.push('|');
-        for (i, t) in self.tokens.iter().enumerate() {
+        for (i, &t) in self.tokens.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            let _ = write!(out, "{t}");
+            push_decimal(out, u64::from(t));
         }
-        out
     }
 
     /// Decode a value produced by [`Tweet::encode`]. `is_control` is not on
@@ -265,6 +270,17 @@ mod tests {
     fn encode_decode_roundtrip() {
         let t = sample();
         assert_eq!(Tweet::decode(&t.encode()), Some(t));
+    }
+
+    #[test]
+    fn encoding_is_the_pinned_text_and_encode_into_appends() {
+        let t = sample();
+        let pinned = "42|7|1586300000|pt|2|1|40|\
+                      https://chat.whatsapp.com/AAAAAAAAAAAAAAAAAAAAAA,https://example.com/x|1 5 9";
+        assert_eq!(t.encode(), pinned);
+        let mut out = String::from("ctl ");
+        t.encode_into(&mut out);
+        assert_eq!(out, format!("ctl {pinned}"));
     }
 
     #[test]

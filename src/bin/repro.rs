@@ -703,6 +703,9 @@ fn main() {
                 fmt_count(ds.metrics.get("transport.corrupted"))
             );
         }
+        if timings {
+            print_campaign_timings(&ds.metrics);
+        }
         return;
     }
 
@@ -768,10 +771,7 @@ fn main() {
         eprintln!("# figure series written to {}", dir.display());
     }
     if timings {
-        eprintln!("# campaign stage timings (wall-clock, nondeterministic):");
-        for (name, v) in ds.metrics.stages() {
-            eprintln!("#   {name} = {v}");
-        }
+        print_campaign_timings(&ds.metrics);
         eprintln!("# analysis stage timings:");
         for (name, v) in stages.stages() {
             eprintln!("#   {name} = {v}");
@@ -785,6 +785,14 @@ fn main() {
             holding(&cmp),
             cmp.len()
         );
+    }
+}
+
+/// Print the campaign's `stage.*` wall-clock timings to stderr.
+fn print_campaign_timings(metrics: &Metrics) {
+    eprintln!("# campaign stage timings (wall-clock, nondeterministic):");
+    for (name, v) in metrics.stages() {
+        eprintln!("#   {name} = {v}");
     }
 }
 

@@ -266,7 +266,7 @@ proptest! {
 
 use chatlens::platforms::group::SizeTimeline;
 use chatlens::platforms::message::MessageKind;
-use chatlens::platforms::service::{encode_message, parse_message};
+use chatlens::platforms::service::{parse_message, write_message};
 use chatlens::simnet::fault::{Backoff, FaultInjector, TokenBucket};
 use chatlens::simnet::metrics::Histogram;
 use chatlens::simnet::time::SimDuration;
@@ -383,7 +383,9 @@ proptest! {
             at: SimTime::from_secs(secs),
             kind: MessageKind::from_index(kind_idx),
         };
-        prop_assert_eq!(parse_message(&encode_message(&m)), Some(m));
+        let mut encoded = String::new();
+        write_message(&mut encoded, &m);
+        prop_assert_eq!(parse_message(&encoded), Some(m));
     }
 
     #[test]
