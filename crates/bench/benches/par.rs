@@ -1,20 +1,22 @@
 //! Timing record for the deterministic parallel runtime (`simnet::par`).
 //!
-//! Unlike the Criterion benches, this harness emits a machine-readable
-//! `BENCH_par.json` in the workspace root (override the directory with
-//! `BENCH_OUT_DIR`): one record per (stage, thread count) with wall-clock
-//! micros from `simnet::metrics`, plus the speedup over the serial run.
+//! This harness emits a machine-readable `BENCH_par.json` in the
+//! workspace root (override the directory with `BENCH_OUT_DIR`): one
+//! record per (stage, thread count) with wall-clock micros from
+//! `simnet::metrics`, plus the speedup over the serial run.
 //! CI consumes it; humans get the same numbers on stderr.
 
 use chatlens_analysis::{topics, LdaConfig, LdaModel};
-use chatlens_bench::{bench_scenario, shared_dataset};
-use chatlens_core::CampaignConfig;
-use chatlens_core::{run_study_with, Dataset};
+use chatlens_core::{run_study, run_study_with, CampaignConfig, Dataset};
 use chatlens_platforms::id::PlatformKind;
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::par::Pool;
-use chatlens_workload::Vocabulary;
+use chatlens_workload::{ScenarioConfig, Vocabulary};
 use std::fmt::Write as _;
+
+/// The campaign scale: 1% of the paper (a full campaign at this scale
+/// runs in about a second in release mode).
+const BENCH_SCALE: f64 = 0.01;
 
 /// One timed measurement, destined for the JSON record.
 struct Sample {
@@ -70,8 +72,7 @@ fn main() {
 
     // The LDA stage on the bench-scale campaign corpus — the acceptance
     // path for the parallel runtime.
-    let ds = shared_dataset();
-    let docs = lda_corpus(ds);
+    let docs = lda_corpus(&run_study(ScenarioConfig::at_scale(BENCH_SCALE)));
     let vocab_len = docs
         .iter()
         .flatten()
@@ -98,7 +99,7 @@ fn main() {
     for &t in thread_counts {
         samples.push(timed("campaign", t, || {
             run_study_with(
-                bench_scenario(),
+                ScenarioConfig::at_scale(BENCH_SCALE),
                 CampaignConfig {
                     threads: t,
                     ..CampaignConfig::default()

@@ -33,7 +33,7 @@ use chatlens_workload::ScenarioConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default campaign scale: double the Criterion bench scale, so every
+/// Default campaign scale: double the `par` bench scale, so every
 /// stage clears the noise floor while three runs stay under ~10 s.
 const HOTPATH_SCALE: f64 = 0.02;
 

@@ -15,7 +15,7 @@
 //! | D2 | `HashMap`/`HashSet` iteration on result paths (analysis, report, core, workload, perspective) unless the site collects into a sorted/`BTreeMap` form or only takes a cardinality |
 //! | D3 | ambient entropy: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState` — every RNG must derive from the seeded root via `Rng::fork` |
 //! | D4 | `par_map`/`par_fold`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
-//! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the `parking_lot` shim never poisons; a `Result`-shaped lock call is a sign std locks leaked in) |
+//! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the workspace holds no lock, so a `Result`-shaped lock call means one came back) |
 //! | D6 | direct `std::fs` writes (`fs::write`, `File::create`, `OpenOptions`, ...) outside the checkpoint and report crates — all artifact and snapshot output must flow through the sanctioned writers so runs stay reproducible and atomic |
 //! | D7 | discarded transport results: a `.twitter(...)` / `.platform(...)` call in the core crate or the binary whose `Result` is dropped (`let _ = ...;` or a bare expression statement) — transport failures must be handled (retried, queued for backfill, or counted), never silently swallowed |
 //! | D8 | `unwrap()`/`expect()` on a `WireDoc` accessor result (`parse`, `parse_as`, `req`, `req_u64`, `req_i64`, `opt_u64`) outside `#[cfg(test)]` and the quarantine module — wire bodies are hostile input; a failed decode must route into the quarantine ledger, never panic a collector |
@@ -532,7 +532,7 @@ fn token_findings(
                     line: m.line,
                     col: m.col,
                     message: format!(
-                        "`.{}().{}` — the parking_lot shim never poisons; a Result-shaped lock call means std locks leaked into a library crate",
+                        "`.{}().{}` — the workspace holds no lock; a Result-shaped lock call means one came back into a library crate",
                         m.text, toks[i + 5].text
                     ),
                 });

@@ -6,7 +6,7 @@ use crate::service::PerspectiveService;
 use chatlens_core::Dataset;
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::wire::WireDoc;
-use chatlens_simnet::time::{SimDuration, SimTime};
+use chatlens_simnet::time::SimDuration;
 use chatlens_simnet::transport::{Client, Request, Router, Status};
 use chatlens_twitter::Lang;
 use chatlens_workload::Vocabulary;
@@ -82,12 +82,6 @@ pub fn score_dataset(ds: &Dataset, vocab: &Vocabulary, qps: f64) -> Vec<Toxicity
         });
     }
     reports
-}
-
-/// The toxicity of each *virtual time instant* is irrelevant; re-export
-/// the pacing start for callers that want to continue the clock.
-pub fn pacing_start(ds: &Dataset) -> SimTime {
-    ds.window.start_time()
 }
 
 #[cfg(test)]

@@ -16,11 +16,8 @@
 //!    and therefore every bit of the output — is scheduling-independent.
 //!
 //! Threads only decide *when* a chunk runs, never *what* it computes or
-//! *where* its result lands. `threads == 1` short-circuits to an inline
-//! loop over the same chunks, producing the identical merge sequence.
-
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! *where* its result lands. At `threads == 1` the calling thread runs
+//! every chunk itself, producing the identical merge sequence.
 
 /// Upper bound on chunks produced by the default chunking, keeping
 /// per-chunk scheduling overhead negligible for large inputs.
@@ -36,7 +33,7 @@ pub fn default_chunk_size(len: usize) -> usize {
 }
 
 /// A deterministic worker pool. Cheap to construct; spawns scoped threads
-/// per call (no idle workers linger between calls).
+/// per call (no idle workers linger between calls) and holds no lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -62,35 +59,61 @@ impl Pool {
     }
 
     /// Runs `work(0..n_tasks)` across the pool and returns results in task
-    /// order. The scheduling backbone of every other method: tasks are
-    /// claimed from a shared counter, results are reassembled by task
-    /// index, so output order never depends on which worker ran what.
+    /// order. The scheduling backbone of every other method: results are
+    /// reassembled by task index, so output order never depends on which
+    /// worker ran what.
     pub fn run_tasks<R, W>(&self, n_tasks: usize, work: W) -> Vec<R>
     where
         R: Send,
         W: Fn(usize) -> R + Sync,
     {
-        if self.threads == 1 || n_tasks <= 1 {
-            return (0..n_tasks).map(work).collect();
+        self.scatter((0..n_tasks).collect(), |t, _| work(t))
+    }
+
+    /// Runs `work(t, task)` for every task and returns the results in task
+    /// order. Task `t` goes to worker `t % workers`, and each worker hands
+    /// its results back through its join handle, so workers share nothing
+    /// but `work`. The calling thread is worker 0. A panic in `work`
+    /// reaches the caller with its original payload.
+    fn scatter<I, R, W>(&self, tasks: Vec<I>, work: W) -> Vec<R>
+    where
+        I: Send,
+        R: Send,
+        W: Fn(usize, I) -> R + Sync,
+    {
+        let n = tasks.len();
+        let workers = self.threads.min(n);
+        let mut queues: Vec<Vec<(usize, I)>> = (0..workers).map(|_| Vec::new()).collect();
+        for (t, task) in tasks.into_iter().enumerate() {
+            queues[t % workers].push((t, task));
         }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_tasks));
-        crossbeam::scope(|scope| {
-            for _ in 0..self.threads.min(n_tasks) {
-                scope.spawn(|_| loop {
-                    let task = next.fetch_add(1, Ordering::Relaxed);
-                    if task >= n_tasks {
-                        break;
-                    }
-                    let result = work(task);
-                    slots.lock().push((task, result));
-                });
+        let run = |queue: Vec<(usize, I)>| -> Vec<(usize, R)> {
+            queue
+                .into_iter()
+                .map(|(t, task)| (t, work(t, task)))
+                .collect()
+        };
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let mut queues = queues.into_iter();
+            let own = queues.next().unwrap_or_default();
+            let handles: Vec<_> = queues.map(|q| scope.spawn(move || run(q))).collect();
+            let mut done = run(own);
+            for handle in handles {
+                done.extend(
+                    handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                );
             }
-        })
-        .expect("par worker panicked");
-        let mut ordered = slots.into_inner();
-        ordered.sort_by_key(|(task, _)| *task);
-        ordered.into_iter().map(|(_, r)| r).collect()
+            for (t, result) in done {
+                slots[t] = Some(result);
+            }
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("every task ran"))
+            .collect()
     }
 
     /// Maps `f` over `items` in parallel; equivalent to
@@ -137,37 +160,7 @@ impl Pool {
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
         assert!(chunk_size > 0, "chunk_size must be nonzero");
-        let n_chunks = items.len().div_ceil(chunk_size);
-        if self.threads == 1 || n_chunks <= 1 {
-            return items
-                .chunks_mut(chunk_size)
-                .enumerate()
-                .map(|(c, chunk)| f(c, chunk))
-                .collect();
-        }
-        // Hand each worker exclusive ownership of its claimed chunk by
-        // taking the `&mut` slice out of a shared slot table.
-        let slots: Mutex<Vec<Option<&mut [T]>>> =
-            Mutex::new(items.chunks_mut(chunk_size).map(Some).collect());
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-        crossbeam::scope(|scope| {
-            for _ in 0..self.threads.min(n_chunks) {
-                scope.spawn(|_| loop {
-                    let task = next.fetch_add(1, Ordering::Relaxed);
-                    if task >= n_chunks {
-                        break;
-                    }
-                    let chunk = slots.lock()[task].take().expect("chunk claimed once");
-                    let result = f(task, chunk);
-                    results.lock().push((task, result));
-                });
-            }
-        })
-        .expect("par worker panicked");
-        let mut ordered = results.into_inner();
-        ordered.sort_by_key(|(task, _)| *task);
-        ordered.into_iter().map(|(_, r)| r).collect()
+        self.scatter(items.chunks_mut(chunk_size).collect(), f)
     }
 
     /// Sharded fold: each chunk folds `fold` over its items (with global
@@ -250,25 +243,36 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_mutates_every_chunk_once() {
-        let reference: Vec<u64> = (0..200u64).map(|x| x + 1000).collect();
+        // 200 items in chunks of 32: seven chunks, the last one short.
+        let reference: Vec<u64> = (0..200u64).map(|x| x + 1000 * (x / 32)).collect();
         for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
             let mut items: Vec<u64> = (0..200).collect();
-            let chunk_ids = Pool::new(threads).par_chunks_mut(32, &mut items, |c, chunk| {
+            let lens = pool.par_chunks_mut(32, &mut items, |c, chunk| {
                 for x in chunk.iter_mut() {
-                    *x += 1000;
+                    *x += 1000 * c as u64;
                 }
-                c
+                chunk.len()
             });
             assert_eq!(items, reference, "{threads} threads");
-            assert_eq!(chunk_ids, (0..7).collect::<Vec<_>>());
+            assert_eq!(lens, [32, 32, 32, 32, 32, 32, 8]);
+            assert!(pool.par_chunks_mut(4, &mut [0u64; 0], |c, _| c).is_empty());
         }
     }
 
     #[test]
     fn run_tasks_returns_in_task_order() {
-        let pool = Pool::new(8);
-        let out = pool.run_tasks(50, |t| t * 2);
-        assert_eq!(out, (0..50).map(|t| t * 2).collect::<Vec<_>>());
+        // Fewer tasks than threads, and many more.
+        for n in [3, 50] {
+            let out = Pool::new(8).run_tasks(n, |t| t * 2);
+            assert_eq!(out, (0..n).map(|t| t * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 failed")]
+    fn a_panicking_task_reaches_the_caller() {
+        Pool::new(2).run_tasks(8, |t| assert_ne!(t, 3, "task 3 failed"));
     }
 
     #[test]

@@ -48,13 +48,6 @@ pub enum Status {
     ServerError,
 }
 
-impl Status {
-    /// Whether a request that got this status is worth retrying.
-    pub fn is_retryable(self) -> bool {
-        matches!(self, Status::RateLimited(_) | Status::ServerError)
-    }
-}
-
 impl fmt::Display for Status {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

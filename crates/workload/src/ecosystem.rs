@@ -179,11 +179,6 @@ impl Ecosystem {
         &self.platforms[kind.index()]
     }
 
-    /// Mutably borrow one platform.
-    pub fn platform_mut(&mut self, kind: PlatformKind) -> &mut Platform {
-        &mut self.platforms[kind.index()]
-    }
-
     /// Ground-truth metadata of one group.
     pub fn meta(&self, kind: PlatformKind, id: GroupId) -> &GroupMeta {
         &self.metas[kind.index()][id.0 as usize]

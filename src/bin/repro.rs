@@ -208,6 +208,15 @@ OPTIONS:
     -h, --help       show this help";
 
 fn main() {
+    if let Err(e) = repro() {
+        exit_with(e);
+    }
+}
+
+/// Parse the command line and run what it asks for. Every usage error,
+/// from a missing flag value to an unknown option, comes back as a
+/// [`CliError`] rather than a panic.
+fn repro() -> Result<(), CliError> {
     let mut scale = 0.1f64;
     let mut seed = 20_200_408u64;
     let mut threads = 1usize;
@@ -268,170 +277,101 @@ fn main() {
                         other.unwrap_or("")
                     ))),
                 };
-                if let Err(e) = result {
-                    exit_with(e);
-                }
-                return;
+                return result;
             }
             "audit" => {
-                let result = match args.next() {
+                return match args.next() {
                     Some(file) => audit_snapshot(std::path::Path::new(&file)),
                     None => Err(CliError::usage("audit needs a snapshot file")),
                 };
-                if let Err(e) = result {
-                    exit_with(e);
-                }
-                return;
             }
             "--scale" => {
-                let v = args.next().expect("--scale <f64|paper|10x>");
-                scale = match v.as_str() {
-                    "paper" => 1.0,
-                    "10x" => 10.0,
-                    other => other.parse().unwrap_or_else(|_| {
-                        eprintln!(
-                            "error: bad scale {other:?} (expected a positive number, `paper`, or `10x`)"
-                        );
-                        std::process::exit(2);
-                    }),
-                };
+                scale = flag_with(&mut args, "--scale <f64|paper|10x>", |v| match v {
+                    "paper" => Some(1.0),
+                    "10x" => Some(10.0),
+                    other => other.parse().ok(),
+                })?;
             }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed <u64>");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads <usize>");
-            }
+            "--seed" => seed = flag_with(&mut args, "--seed <u64>", |v| v.parse().ok())?,
+            "--threads" => threads = flag_with(&mut args, "--threads <usize>", |v| v.parse().ok())?,
             "--analysis" => {
-                let v = args.next().expect("--analysis <batch|incremental>");
-                incremental = match v.as_str() {
-                    "batch" => false,
-                    "incremental" => true,
-                    other => {
-                        eprintln!(
-                            "error: unknown analysis mode {other:?} (expected batch|incremental)"
-                        );
-                        std::process::exit(2);
-                    }
-                };
+                incremental =
+                    flag_with(&mut args, "--analysis <batch|incremental>", |v| match v {
+                        "batch" => Some(false),
+                        "incremental" => Some(true),
+                        _ => None,
+                    })?;
             }
             "--timings" => timings = true,
             "--stats" => stats = true,
             "--format" => {
-                let v = args.next().expect("--format <text|json>");
-                match v.as_str() {
-                    "json" => lint_json = true,
-                    "text" => lint_json = false,
-                    other => {
-                        eprintln!("error: unknown format {other:?} (expected text or json)");
-                        std::process::exit(2);
-                    }
-                }
+                lint_json = flag_with(&mut args, "--format <text|json>", |v| match v {
+                    "text" => Some(false),
+                    "json" => Some(true),
+                    _ => None,
+                })?;
             }
-            "--out" => {
-                lint_out = Some(std::path::PathBuf::from(args.next().expect("--out <path>")));
-            }
+            "--out" => lint_out = Some(flag_value(&mut args, "--out <path>")?.into()),
             "--validate" => {
-                let file = args.next().expect("--validate <file>");
-                if let Err(e) = validate_lint_json(std::path::Path::new(&file)) {
-                    exit_with(e);
-                }
-                return;
+                let file = flag_value(&mut args, "--validate <file>")?;
+                return validate_lint_json(std::path::Path::new(&file));
             }
-            "--csv" => {
-                csv_dir = Some(std::path::PathBuf::from(args.next().expect("--csv <dir>")));
-            }
+            "--csv" => csv_dir = Some(flag_value(&mut args, "--csv <dir>")?.into()),
             "--checkpoint-dir" => {
-                ckpt_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--checkpoint-dir <dir>"),
-                ));
+                ckpt_dir = Some(flag_value(&mut args, "--checkpoint-dir <dir>")?.into());
             }
             "--checkpoint-every" => {
-                ckpt_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--checkpoint-every <days>");
+                ckpt_every = flag_with(&mut args, "--checkpoint-every <days>", |v| v.parse().ok())?;
             }
-            "--resume" => {
-                resume = Some(std::path::PathBuf::from(
-                    args.next().expect("--resume <file>"),
-                ));
-            }
+            "--resume" => resume = Some(flag_value(&mut args, "--resume <file>")?.into()),
             "--fault-profile" => {
-                let v = args.next().expect("--fault-profile <calm|bursty|outage>");
-                profile = FaultProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown fault profile {v:?} (expected calm, bursty, or outage)"
-                    );
-                    std::process::exit(2);
-                });
+                let usage = "--fault-profile <calm|bursty|outage>";
+                profile = flag_with(&mut args, usage, FaultProfile::parse)?;
             }
             "--corruption" => {
-                let v = args.next().expect("--corruption <calm|noisy|hostile>");
-                corruption = CorruptionProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown corruption profile {v:?} (expected calm, noisy, or hostile)"
-                    );
-                    std::process::exit(2);
-                });
+                let usage = "--corruption <calm|noisy|hostile>";
+                corruption = flag_with(&mut args, usage, CorruptionProfile::parse)?;
             }
             "--disk-fault" => {
-                let v = args.next().expect("--disk-fault <calm|flaky|torn>");
-                disk_fault = DiskFaultProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown disk-fault profile {v:?} (expected calm, flaky, or torn)"
-                    );
-                    std::process::exit(2);
-                });
+                let usage = "--disk-fault <calm|flaky|torn>";
+                disk_fault = flag_with(&mut args, usage, DiskFaultProfile::parse)?;
             }
             "--halt-after-day" => {
-                halt_after = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--halt-after-day <days>"),
-                );
+                halt_after = Some(flag_with(&mut args, "--halt-after-day <days>", |v| {
+                    v.parse().ok()
+                })?);
             }
             "--mem-budget" => {
-                let v = args.next().expect("--mem-budget <bytes|min>");
-                mem_budget = Some(match v.as_str() {
-                    "min" => BudgetLimit::Min,
-                    other => BudgetLimit::Bytes(other.parse().unwrap_or_else(|_| {
-                        eprintln!("error: bad budget {other:?} (expected a byte count or `min`)");
-                        std::process::exit(2);
-                    })),
-                });
+                let budget = |v: &str| match v {
+                    "min" => Some(BudgetLimit::Min),
+                    bytes => bytes.parse().ok().map(BudgetLimit::Bytes),
+                };
+                mem_budget = Some(flag_with(&mut args, "--mem-budget <bytes|min>", budget)?);
             }
-            "--spill-dir" => {
-                spill_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--spill-dir <dir>"),
-                ));
-            }
+            "--spill-dir" => spill_dir = Some(flag_value(&mut args, "--spill-dir <dir>")?.into()),
             "--report-out" => {
-                report_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--report-out <path>"),
-                ));
+                report_out = Some(flag_value(&mut args, "--report-out <path>")?.into());
             }
             "--outage" | "--ban" => {
-                let spec = args.next().expect("--outage/--ban <svc:start_day:days>");
-                let (idx, spec) = parse_outage(&spec, a == "--ban");
+                let spec = flag_value(&mut args, &format!("{a} <svc:start_day:days>"))?;
+                let (idx, spec) = parse_outage(&spec, a == "--ban")?;
                 outages[idx] = Some(spec);
             }
             "--help" | "-h" => {
                 println!("{HELP}");
-                return;
+                return Ok(());
+            }
+            other if other.starts_with('-') => {
+                return Err(CliError::usage(format!(
+                    "unknown option {other:?} (see `repro --help`)"
+                )))
             }
             other => artifact = other.to_string(),
         }
     }
     if artifact == "lint" {
         run_lint(stats, lint_json, lint_out.as_deref());
-        return;
+        return Ok(());
     }
     let pool = Pool::new(threads);
     let mut config = ScenarioConfig::at_scale(scale);
@@ -441,7 +381,7 @@ fn main() {
             "{}",
             chatlens::workload::config_io::to_json(&config).expect("config serializes")
         );
-        return;
+        return Ok(());
     }
     eprintln!("# chatlens repro — scale {scale}, seed {seed}, threads {threads}");
     if profile != FaultProfile::Calm || outages.iter().any(Option::is_some) {
@@ -534,7 +474,7 @@ fn main() {
                         p.dir.display(),
                         budget.dir.display()
                     );
-                    return;
+                    return Ok(());
                 }
                 Err(e) => exit_with(CliError::failed(format!("{e}"))),
             }
@@ -575,7 +515,7 @@ fn main() {
         let run = result.unwrap_or_else(|e| exit_with(CliError::failed(format!("{e}"))));
         eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
         print_budgeted_run(&run, report_out.as_deref());
-        return;
+        return Ok(());
     }
     // `--halt-after-day N`: the deterministic mid-campaign kill. Runs the
     // checkpointed batch campaign to the requested day boundary, leaves
@@ -595,7 +535,7 @@ fn main() {
                     "campaign halted after day {done} (snapshots in {})",
                     p.dir.display()
                 );
-                return;
+                return Ok(());
             }
             Err(e) => exit_with(CliError::usage(format!("snapshot save failed: {e}"))),
         }
@@ -706,7 +646,7 @@ fn main() {
         if timings {
             print_campaign_timings(&ds.metrics);
         }
-        return;
+        return Ok(());
     }
 
     let mut cmp: Vec<Comparison> = Vec::new();
@@ -786,6 +726,7 @@ fn main() {
             cmp.len()
         );
     }
+    Ok(())
 }
 
 /// Print the campaign's `stage.*` wall-clock timings to stderr.
@@ -802,41 +743,58 @@ fn pname(k: PlatformKind) -> &'static str {
 
 /// Parse an `--outage`/`--ban` operand of the form `svc:start_day:days`
 /// into the service's [`SERVICE_NAMES`] index and its [`OutageSpec`].
-fn parse_outage(arg: &str, ban: bool) -> (usize, OutageSpec) {
-    let bail = |what: &str| -> ! {
-        eprintln!("error: bad outage spec {arg:?}: {what} (expected <svc:start_day:days>)");
-        std::process::exit(2);
+fn parse_outage(arg: &str, ban: bool) -> Result<(usize, OutageSpec), CliError> {
+    let bad = |what: &str| {
+        CliError::usage(format!(
+            "bad outage spec {arg:?}: {what} (expected <svc:start_day:days>)"
+        ))
     };
     let mut parts = arg.split(':');
     let (Some(svc), Some(start), Some(days), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
-        bail("need exactly three `:`-separated fields")
+        return Err(bad("need exactly three `:`-separated fields"));
     };
     let Some(idx) = SERVICE_NAMES.iter().position(|&n| n == svc) else {
-        bail("unknown service (expected twitter, whatsapp, telegram, or discord)")
+        return Err(bad(
+            "unknown service (expected twitter, whatsapp, telegram, or discord)",
+        ));
     };
     let (Ok(start_day), Ok(days)) = (start.parse::<u32>(), days.parse::<u32>()) else {
-        bail("start day and length must be unsigned integers")
+        return Err(bad("start day and length must be unsigned integers"));
     };
     if days == 0 {
-        bail("outage length must be at least one day")
+        return Err(bad("outage length must be at least one day"));
     }
-    (
+    Ok((
         idx,
         OutageSpec {
             start_day,
             days,
             ban,
         },
-    )
+    ))
 }
 
-/// A typed CLI failure: the diagnostic for stderr plus the process exit
-/// code — `1` when the requested check found problems, `2` on usage or
-/// I/O errors. Threaded back to [`exit_with`] through `Result` so the
-/// subcommand bodies stay ordinary fallible functions instead of
-/// sprinkling `process::exit` through every filesystem touch.
+/// The operand of a value-taking flag. `usage` is the flag's synopsis
+/// (`"--seed <u64>"`), quoted in the diagnostic when the operand is
+/// missing.
+fn flag_value(args: &mut impl Iterator<Item = String>, usage: &str) -> Result<String, CliError> {
+    args.next()
+        .ok_or_else(|| CliError::usage(format!("missing value for {usage}")))
+}
+
+/// A [`flag_value`] converted by `parse`; an operand it rejects is a
+/// usage error quoting the flag's synopsis.
+fn flag_with<T>(
+    args: &mut impl Iterator<Item = String>,
+    usage: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, CliError> {
+    let v = flag_value(args, usage)?;
+    parse(&v).ok_or_else(|| CliError::usage(format!("bad value {v:?} for {usage}")))
+}
+
 /// Print the budgeted `run` summary: Table 2 totals, the accountant's
 /// final statistics, and (optionally) the canonical report bytes to a
 /// file for byte-comparison against an unbudgeted run.
@@ -874,6 +832,11 @@ fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
     );
 }
 
+/// A typed CLI failure: the diagnostic for stderr plus the process exit
+/// code — `1` when the requested check found problems, `2` on usage or
+/// I/O errors. Threaded back to [`exit_with`] through `Result` so the
+/// subcommand bodies stay ordinary fallible functions instead of
+/// sprinkling `process::exit` through every filesystem touch.
 struct CliError {
     message: String,
     code: i32,

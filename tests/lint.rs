@@ -177,7 +177,7 @@ fn the_real_workspace_tree_is_clean() {
     // number requires a justification comment at the new site. The audit
     // rules guarantee each one both suppresses a real finding and carries
     // a justification, so the count is exact, not a ceiling.
-    assert_eq!(report.suppressed, 62, "unexpected lint:allow pragma count");
+    assert_eq!(report.suppressed, 60, "unexpected lint:allow pragma count");
 }
 
 #[test]
@@ -232,5 +232,49 @@ fn repro_lint_exits_zero_on_clean_tree_and_nonzero_on_violation() {
     assert!(
         out.contains("crates/bad/src/lib.rs:1:"),
         "diagnostic names file and line: {out}"
+    );
+}
+
+/// Does `manifest` take `name` from the workspace, as
+/// `name.workspace = true` or `name = { workspace = true, .. }`?
+fn uses_workspace_dep(manifest: &str, name: &str) -> bool {
+    manifest.lines().any(|line| {
+        line.trim().strip_prefix(name).is_some_and(|rest| {
+            let rest = rest.trim_start();
+            rest.starts_with(".workspace = true")
+                || (rest.starts_with("= {") && rest.contains("workspace = true"))
+        })
+    })
+}
+
+#[test]
+fn every_workspace_dependency_has_a_user() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: std::path::PathBuf| std::fs::read_to_string(path).expect("manifest");
+    // The root manifest (which also holds the root package) plus every
+    // member under crates/.
+    let mut manifests = vec![read(root.join("Cargo.toml"))];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let path = entry.expect("crates entry").path().join("Cargo.toml");
+        if path.is_file() {
+            manifests.push(read(path));
+        }
+    }
+    let declared: Vec<&str> = manifests[0]
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.dependencies]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .filter_map(|l| l.split_once('=').map(|(name, _)| name.trim()))
+        .collect();
+    assert!(declared.contains(&"proptest"), "parsed {declared:?}");
+    let unused: Vec<&&str> = declared
+        .iter()
+        .filter(|name| !manifests.iter().any(|m| uses_workspace_dep(m, name)))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "unused [workspace.dependencies]: {unused:?}"
     );
 }
