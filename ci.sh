@@ -127,6 +127,12 @@ CHATLENS_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (threads=8)"
 CHATLENS_THREADS=8 cargo test -q --workspace
 
+# The benchmark harness (perfbench/, its own workspace) compiles against
+# the public campaign API by name. Building it here turns an API change
+# that breaks it into a CI failure rather than a failed benchmark run.
+echo "==> perfbench builds"
+cargo build --release --quiet --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> bench timing record (BENCH_par.json)"
 cargo bench -p chatlens-bench --bench par
 

@@ -53,7 +53,12 @@
 //! let fold = TweetVolume { per_day: Vec::new() };
 //! let mut driver = FoldDriver::new(vec![Box::new(fold)], 1);
 //! let scenario = chatlens_workload::ScenarioConfig::tiny();
-//! let ds = chatlens_core::run_study_folded(scenario, Default::default(), &mut driver);
+//! let ds = chatlens_core::Campaign::new(Default::default())
+//!     .folds(&mut driver)
+//!     .run(scenario)
+//!     .unwrap()
+//!     .into_dataset()
+//!     .unwrap();
 //! let outcome = driver.finish();
 //! let rendered = outcome.fragment("tweet_volume").unwrap();
 //! assert!(rendered.starts_with("tweets_per_day: ["));

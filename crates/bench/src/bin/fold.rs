@@ -31,7 +31,7 @@
 //! [`DayFold`]: chatlens_core::DayFold
 
 use chatlens_analysis::{batch_fragments, standard_folds};
-use chatlens_core::{run_study_folded, FoldDriver};
+use chatlens_core::{Campaign, FoldDriver};
 use chatlens_simnet::metrics::{keys, Metrics};
 use chatlens_simnet::par::Pool;
 use chatlens_workload::ScenarioConfig;
@@ -53,11 +53,12 @@ const RUNS: usize = 3;
 /// One folded campaign + one batch report render, as `entry -> value`.
 fn measure(scale: f64) -> BTreeMap<String, u64> {
     let mut driver = FoldDriver::new(standard_folds(), 1);
-    let ds = run_study_folded(
-        ScenarioConfig::at_scale(scale),
-        Default::default(),
-        &mut driver,
-    );
+    let ds = Campaign::new(Default::default())
+        .folds(&mut driver)
+        .run(ScenarioConfig::at_scale(scale))
+        .expect("folded campaign completes")
+        .into_dataset()
+        .expect("an unbudgeted campaign assembles a dataset");
     let outcome = driver.finish();
 
     let pool = Pool::new(1);

@@ -29,7 +29,7 @@
 //! paper stand-in scale (the 10× stand-in always tracks it).
 
 use chatlens_core::budget::{BudgetLimit, BudgetPolicy};
-use chatlens_core::{run_study_budgeted, CampaignConfig};
+use chatlens_core::{BudgetedRun, Campaign, CampaignConfig};
 use chatlens_workload::ScenarioConfig;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,6 +51,17 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A default campaign under `budget`, run to the end.
+fn run_budgeted(
+    scenario: ScenarioConfig,
+    budget: &BudgetPolicy,
+) -> Result<BudgetedRun, chatlens_core::StudyError> {
+    let outcome = Campaign::new(CampaignConfig::default())
+        .budget(budget)
+        .run(scenario)?;
+    Ok(outcome.into_budgeted().expect("a budgeted campaign"))
+}
+
 /// One scale's entries: the unbounded probe, then a tight-ceiling run.
 fn measure(scale: f64, prefix: &str, out: &mut BTreeMap<String, u64>) {
     let scenario = ScenarioConfig::at_scale(scale);
@@ -59,9 +70,8 @@ fn measure(scale: f64, prefix: &str, out: &mut BTreeMap<String, u64>) {
     // is unreachable, so eviction never fires — this measures the true
     // resident peak the budget must beat.
     let probe_dir = scratch(&format!("{prefix}-probe"));
-    let probe = run_study_budgeted(
+    let probe = run_budgeted(
         scenario.clone(),
-        CampaignConfig::default(),
         &BudgetPolicy::new(BudgetLimit::Bytes(u64::MAX), &probe_dir),
     )
     .expect("an unreachable ceiling never refuses");
@@ -78,9 +88,8 @@ fn measure(scale: f64, prefix: &str, out: &mut BTreeMap<String, u64>) {
     // not evictable: the accountant refuses instead.)
     let limit = probe.stats.floor + (probe.stats.resident_peak - probe.stats.floor) / 2;
     let spill_dir = scratch(&format!("{prefix}-tight"));
-    let run = run_study_budgeted(
+    let run = run_budgeted(
         scenario,
-        CampaignConfig::default(),
         &BudgetPolicy::new(BudgetLimit::Bytes(limit), &spill_dir),
     )
     .expect("a ceiling above the floor spills, never refuses");

@@ -14,10 +14,15 @@
 //!
 //! 1. **Day boundaries, debug builds** — [`crate::study`]'s runner audits
 //!    the live components after every completed study day
-//!    (`debug_assertions` only; release campaigns pay nothing).
-//! 2. **Resume** — every `resume_study*` entry point audits the restored
-//!    components before continuing, so a snapshot that decodes cleanly
-//!    but violates campaign invariants is caught at the boundary.
+//!    (`debug_assertions` only; release campaigns pay nothing) and stops
+//!    the campaign with
+//!    [`StudyError::DayInvariants`](crate::study::StudyError::DayInvariants)
+//!    naming the day.
+//! 2. **Resume** — [`Campaign::resume`](crate::study::Campaign::resume)
+//!    audits the restored components before continuing, so a snapshot
+//!    that decodes cleanly but violates campaign invariants is refused
+//!    at the boundary with
+//!    [`StudyError::Invariants`](crate::study::StudyError::Invariants).
 //! 3. **`repro audit <snapshot>`** — the CLI resumes a checkpoint to a
 //!    full dataset and prints every violation (exit code 1 if any).
 

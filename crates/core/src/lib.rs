@@ -29,10 +29,12 @@
 //! returning the [`dataset::Dataset`] every analysis in
 //! `chatlens-analysis` consumes.
 //!
-//! Long campaigns are crash-safe: [`study::run_study_checkpointed`]
-//! snapshots the full campaign state ([`state::CampaignState`]) at day
-//! boundaries via `chatlens-checkpoint`, and [`study::resume_study`]
-//! continues from a snapshot to a byte-identical dataset.
+//! Long campaigns are crash-safe: a [`study::Campaign`] with a
+//! checkpoint policy snapshots the full campaign state
+//! ([`state::CampaignState`]) at day boundaries via `chatlens-checkpoint`,
+//! and [`study::Campaign::resume`] continues from a snapshot to a
+//! byte-identical dataset. The same builder adds a memory budget,
+//! incremental folds and a halt day.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,10 +63,7 @@ pub use fold::{DayFold, DayMark, DayParts, DaySlice, FoldDriver, FoldLedger, Fol
 pub use intern::{Interner, Sym};
 pub use state::{CampaignState, SnapshotSummary};
 pub use study::{
-    recover_latest_state, resume_study, resume_study_budgeted, resume_study_budgeted_checkpointed,
-    resume_study_checkpointed, resume_study_days, resume_study_folded,
-    resume_study_folded_checkpointed, run_study, run_study_budgeted,
-    run_study_budgeted_checkpointed, run_study_checkpointed, run_study_days_budgeted,
-    run_study_days_checkpointed, run_study_folded, run_study_folded_checkpointed, run_study_with,
-    BudgetedRun, CampaignConfig, CampaignEvent, CheckpointPolicy, StudyError,
+    recover_latest_state, resume_study_budgeted, run_study, run_study_days_budgeted,
+    run_study_with, BudgetedRun, Campaign, CampaignConfig, CampaignEvent, CheckpointPolicy,
+    RunOutcome, StudyError,
 };

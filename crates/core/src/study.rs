@@ -12,22 +12,33 @@
 //! * once, at the end of the final day — collect member lists, profiles
 //!   and message histories from every joined group.
 //!
+//! # One entry point
+//!
+//! [`Campaign`] is the campaign's one entry point. Its builder attaches a
+//! [`CheckpointPolicy`], a [`BudgetPolicy`], a [`FoldDriver`] and a halt
+//! day in any combination; [`Campaign::run`] starts from day 0 and
+//! [`Campaign::resume`] continues from a [`CampaignState`]. Both drive the
+//! same day loop and return a [`RunOutcome`] or a typed [`StudyError`].
+//! [`run_study`], [`run_study_with`] and [`run_study_on`] are the plain
+//! runs that return a bare [`Dataset`].
+//!
 //! # Checkpointing
 //!
 //! The campaign advances one study day at a time (an internal `Runner`
 //! owns the event loop), and a day boundary is a *quiescent point*: no
 //! event is ever scheduled in the final second of a day, so the whole
 //! mutable state of the campaign is capturable there as a
-//! [`CampaignState`]. [`run_study_checkpointed`] saves one snapshot per
-//! [`CheckpointPolicy`] interval (and on unwind, if configured);
-//! [`resume_study`] rebuilds the world from the scenario, replays the
-//! delta, and continues — producing a dataset byte-identical to an
-//! uninterrupted run.
+//! [`CampaignState`]. A campaign with a checkpoint policy saves one
+//! snapshot per interval; [`Campaign::resume`] rebuilds the world from the
+//! scenario, replays the delta, and continues — producing a dataset
+//! byte-identical to an uninterrupted run. A failing day returns its
+//! error before anything is saved, so the chain always ends at the last
+//! completed boundary.
 //!
 //! # Incremental analysis
 //!
-//! The `*_folded` entry points thread a [`FoldDriver`] through the day
-//! loop: after every completed day the driver hands each registered
+//! [`Campaign::folds`] threads a [`FoldDriver`] through the day loop:
+//! after every completed day the driver hands each registered
 //! [`DayFold`](crate::fold::DayFold) a borrowed slice of the day's
 //! appends, so analyses maintain compact per-day state instead of
 //! replaying history at campaign end. Folded state rides inside the
@@ -35,11 +46,13 @@
 //! killable/resumable like batch runs — `tests/fold_parity.rs` proves
 //! the final report fragments byte-identical either way.
 
+use crate::audit::AuditViolation;
 use crate::budget::{BudgetError, BudgetPolicy, BudgetStats, MemoryBudget};
 use crate::dataset::{
     render_campaign_report, Dataset, PlatformSummary, ReportInputs, TweetRollupBuilder,
 };
 use crate::discovery::Discovery;
+use crate::error::CoreError;
 use crate::fold::{DayMark, DayParts, FoldDriver};
 use crate::joiner::Joiner;
 use crate::monitor::Monitor;
@@ -204,10 +217,6 @@ pub struct CheckpointPolicy {
     pub dir: PathBuf,
     /// Save every N completed study days; `0` disables interval saves.
     pub every_days: u32,
-    /// Also save (best-effort) if the campaign unwinds mid-run — a panic
-    /// in a handler, for instance — so the run is resumable from the last
-    /// completed day rather than its last interval snapshot.
-    pub on_drop: bool,
     /// Which storage fault regime snapshot I/O runs under. `Calm` (the
     /// default) is the real filesystem; `Flaky`/`Torn` route saves and
     /// loads through a deterministic [`FaultVfs`] whose injected damage
@@ -216,12 +225,11 @@ pub struct CheckpointPolicy {
 }
 
 impl CheckpointPolicy {
-    /// Save into `dir` after every completed day, and on unwind.
+    /// Save into `dir` after every completed day.
     pub fn daily(dir: impl Into<PathBuf>) -> CheckpointPolicy {
         CheckpointPolicy {
             dir: dir.into(),
             every_days: 1,
-            on_drop: true,
             disk_fault: DiskFaultProfile::Calm,
         }
     }
@@ -245,60 +253,73 @@ impl CheckpointPolicy {
 
 /// Run the full study over a freshly built ecosystem with default
 /// campaign settings.
+///
+/// # Panics
+/// As [`run_study_on`].
 pub fn run_study(scenario: ScenarioConfig) -> Dataset {
     run_study_with(scenario, CampaignConfig::default())
 }
 
 /// Run the full study with explicit campaign settings. Returns the
 /// assembled [`Dataset`].
+///
+/// # Panics
+/// As [`run_study_on`].
 pub fn run_study_with(scenario: ScenarioConfig, campaign: CampaignConfig) -> Dataset {
     let mut eco = Ecosystem::build(scenario);
     run_study_on(&mut eco, campaign)
 }
 
-/// Run the campaign against an existing ecosystem (used by ablation
-/// benches that re-collect the same world under different settings; the
-/// ecosystem's materialized histories are deterministic per group, so
-/// re-use is safe).
+/// Run the campaign against an existing ecosystem (used to re-collect
+/// the same world under different settings; the ecosystem's
+/// materialized histories are deterministic per group, so re-use is
+/// safe). The benchmark harness calls this function by name.
+///
+/// # Panics
+/// Panics if a campaign stage fails. The plain wrappers return a bare
+/// [`Dataset`], so this is the one point where a [`StudyError`] becomes a
+/// panic; [`Campaign::run`] returns it as a value.
 pub fn run_study_on(eco: &mut Ecosystem, campaign: CampaignConfig) -> Dataset {
-    let mut runner = Runner::new(eco.window, campaign);
-    let days = eco.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(eco);
+    let runner = Runner::new(eco.window, campaign);
+    match Campaign::new(campaign).drive(runner, eco) {
+        Ok(outcome) => outcome
+            .into_dataset()
+            .expect("a plain campaign assembles a dataset"),
+        Err(e) => panic!("campaign failed: {e}"),
     }
-    runner.finish(eco)
 }
 
-/// Run the full study, saving a [`CampaignState`] snapshot per the
-/// policy. The result is identical to [`run_study_with`]; only the
-/// snapshot side effects differ. Fails only on snapshot I/O.
-pub fn run_study_checkpointed(
+/// Run a budgeted, checkpointed campaign and halt cleanly after `days`
+/// completed study days. Returns the number of days actually completed.
+/// A one-line delegation to [`Campaign`], kept by name because the
+/// benchmark harness calls it with this signature.
+pub fn run_study_days_budgeted(
     scenario: ScenarioConfig,
     campaign: CampaignConfig,
     policy: &CheckpointPolicy,
-) -> Result<Dataset, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    run_guarded(runner, eco, policy, None)
-}
-
-/// Run a checkpointed campaign but halt cleanly after `days` completed
-/// study days, leaving the snapshot chain (and nothing else) on disk.
-/// Returns the number of days actually completed. This is the
-/// deterministic "kill at a day boundary" behind `repro run
-/// --halt-after-day`, which the crash-storm smoke uses to interrupt a
-/// campaign mid-flight without racing a real signal.
-pub fn run_study_days_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
+    budget: &BudgetPolicy,
     days: u32,
-) -> Result<u32, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    let until = days.min(eco.window.num_days() as u32);
-    let (runner, _eco) = run_guarded_until(runner, eco, policy, None, until)?;
-    Ok(runner.day)
+) -> Result<u32, StudyError> {
+    let outcome = Campaign::new(campaign)
+        .checkpoint(policy)
+        .budget(budget)
+        .halt_after(days)
+        .run(scenario)?;
+    Ok(outcome.into_halted().expect("a halting campaign halts").day)
+}
+
+/// Resume a budgeted campaign from a snapshot and run it to completion
+/// (no further snapshot saves). A one-line delegation to [`Campaign`],
+/// kept by name because the benchmark harness calls it with this
+/// signature.
+pub fn resume_study_budgeted(
+    state: &CampaignState,
+    budget: &BudgetPolicy,
+) -> Result<BudgetedRun, StudyError> {
+    let outcome = Campaign::new(state.campaign).budget(budget).resume(state)?;
+    Ok(outcome
+        .into_budgeted()
+        .expect("a budgeted campaign is budgeted"))
 }
 
 /// Walk the checkpoint chain in `policy.dir` backwards to the newest
@@ -320,46 +341,9 @@ pub fn recover_latest_state(
     Ok(recovered)
 }
 
-/// Resume a snapshotted campaign and run it to completion. The returned
-/// dataset is byte-identical to the uninterrupted run's (modulo the
-/// wall-clock `.micros` metrics, which [`Metrics::strip_wall_clock`]
-/// normalizes).
-pub fn resume_study(state: &CampaignState) -> Dataset {
-    let (mut eco, mut runner) = rebuild(state);
-    let days = runner.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-    }
-    runner.finish(&mut eco)
-}
-
-/// Resume a snapshotted campaign, advance at most `days` study days, and
-/// return the new snapshot state. Building block for the equivalence
-/// tests (resume day N, run one day, compare against the day-N+1
-/// snapshot of an uninterrupted run).
-pub fn resume_study_days(state: &CampaignState, days: u32) -> CampaignState {
-    let (mut eco, mut runner) = rebuild(state);
-    let total = runner.window.num_days() as u32;
-    let target = runner.day.saturating_add(days).min(total);
-    while runner.day < target {
-        runner.step_day(&mut eco);
-    }
-    runner.state(&eco)
-}
-
-/// Resume a snapshotted campaign and run it to completion with snapshot
-/// saves per the policy (i.e. a resumed run is itself resumable).
-pub fn resume_study_checkpointed(
-    state: &CampaignState,
-    policy: &CheckpointPolicy,
-) -> Result<Dataset, CheckpointError> {
-    let (eco, runner) = rebuild(state);
-    run_guarded(runner, eco, policy, None)
-}
-
-/// Why a budgeted (and possibly checkpointed) campaign refused to
-/// continue. Both arms are typed refusals — a budgeted campaign
-/// degrades (spill, then refuse) and never aborts.
+/// Why a campaign stopped or refused to start. Every arm is a typed
+/// value: no campaign error unwinds the day loop, so a checkpoint chain
+/// always ends at the last quiescent day boundary.
 #[derive(Debug)]
 pub enum StudyError {
     /// Snapshot I/O failed under a non-tolerant disk-fault profile.
@@ -367,6 +351,34 @@ pub enum StudyError {
     /// The memory accountant refused: ceiling below the floor,
     /// un-evictable working set over the ceiling, or damaged spill data.
     Budget(BudgetError),
+    /// A campaign stage (search, stream, monitor, join, collect,
+    /// backfill) failed.
+    Core(CoreError),
+    /// A memory budget was combined with incremental folds: the budgeted
+    /// campaign streams its report from spilled partitions, while folds
+    /// need every day's appends resident.
+    BudgetWithFolds,
+    /// The snapshot carries budget state but the resume has no budget:
+    /// its spilled partitions would be silently missing.
+    BudgetedSnapshot,
+    /// Folds are attached but the snapshot carries no fold ledger.
+    NoFoldLedger,
+    /// The snapshot's fold ledger does not match the attached folds.
+    FoldMismatch(CheckpointError),
+    /// The snapshot decodes cleanly but its parts disagree with each
+    /// other (the message names which).
+    Inconsistent(&'static str),
+    /// The snapshot decodes cleanly but violates campaign invariants.
+    Invariants(Vec<AuditViolation>),
+    /// The campaign itself broke a cross-component invariant at the end
+    /// of study day `day` (0-based): a program bug, not bad input. Only
+    /// debug builds audit every day boundary.
+    DayInvariants {
+        /// The day just completed.
+        day: u32,
+        /// What the audit found.
+        violations: Vec<AuditViolation>,
+    },
 }
 
 impl fmt::Display for StudyError {
@@ -374,6 +386,38 @@ impl fmt::Display for StudyError {
         match self {
             StudyError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             StudyError::Budget(e) => write!(f, "budget: {e}"),
+            StudyError::Core(e) => write!(f, "campaign: {e}"),
+            StudyError::BudgetWithFolds => {
+                f.write_str("--mem-budget does not combine with --analysis incremental")
+            }
+            StudyError::BudgetedSnapshot => f.write_str(
+                "snapshot was written under --mem-budget; resume it with the \
+                 same --mem-budget (and the original --spill-dir)",
+            ),
+            StudyError::NoFoldLedger => f.write_str(
+                "snapshot carries no fold ledger: it was written by a batch run; \
+                 resume it in batch mode or re-run incrementally from scratch",
+            ),
+            StudyError::FoldMismatch(e) => {
+                write!(f, "fold ledger does not match the registered folds: {e}")
+            }
+            StudyError::Inconsistent(what) => write!(f, "inconsistent snapshot: {what}"),
+            StudyError::Invariants(violations) => write!(
+                f,
+                "snapshot violates {} campaign invariant(s), first: {}",
+                violations.len(),
+                violations
+                    .first()
+                    .map_or(String::new(), AuditViolation::render)
+            ),
+            StudyError::DayInvariants { day, violations } => write!(
+                f,
+                "invariant audit failed after day {day}: {} violation(s), first: {}",
+                violations.len(),
+                violations
+                    .first()
+                    .map_or(String::new(), AuditViolation::render)
+            ),
         }
     }
 }
@@ -389,6 +433,12 @@ impl From<CheckpointError> for StudyError {
 impl From<BudgetError> for StudyError {
     fn from(e: BudgetError) -> StudyError {
         StudyError::Budget(e)
+    }
+}
+
+impl From<CoreError> for StudyError {
+    fn from(e: CoreError) -> StudyError {
+        StudyError::Core(e)
     }
 }
 
@@ -412,369 +462,262 @@ pub struct BudgetedRun {
     pub metrics: Metrics,
 }
 
-/// Run the full study under a hard memory budget: day partitions of the
-/// collected logs are spilled coldest-first through the budget policy's
-/// (possibly fault-injected) filesystem whenever the accounted resident
-/// size exceeds the ceiling, and the report is streamed at the end. The
-/// report is byte-identical to [`run_study_with`]'s
-/// [`Dataset::campaign_report`].
-pub fn run_study_budgeted(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let days = eco.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, None, days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+/// What a [`Campaign`] delivers. Returned once per campaign, so the
+/// variants stay unboxed.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum RunOutcome {
+    /// An unbudgeted campaign ran to the end and assembled its dataset.
+    Dataset(Dataset),
+    /// A budgeted campaign ran to the end and streamed its report.
+    Budgeted(BudgetedRun),
+    /// The campaign stopped at its [`Campaign::halt_after`] boundary;
+    /// [`Campaign::resume`] continues from this state.
+    Halted(CampaignState),
 }
 
-/// [`run_study_budgeted`] with snapshot saves per the checkpoint policy.
-/// Snapshots carry the accountant's state (checkpoint format v6), so a
-/// killed budgeted run resumes — under the same budget — to a
-/// byte-identical report.
-pub fn run_study_budgeted_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let days = eco.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, Some(policy), days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+impl RunOutcome {
+    /// The assembled dataset of a complete unbudgeted run.
+    pub fn into_dataset(self) -> Option<Dataset> {
+        match self {
+            RunOutcome::Dataset(ds) => Some(ds),
+            _ => None,
+        }
+    }
+
+    /// The streamed report of a complete budgeted run.
+    pub fn into_budgeted(self) -> Option<BudgetedRun> {
+        match self {
+            RunOutcome::Budgeted(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    /// The day-boundary state of a halted run.
+    pub fn into_halted(self) -> Option<CampaignState> {
+        match self {
+            RunOutcome::Halted(state) => Some(state),
+            _ => None,
+        }
+    }
 }
 
-/// Run a budgeted, checkpointed campaign but halt cleanly after `days`
-/// completed study days (the budgeted `--halt-after-day`). Returns the
-/// number of days actually completed.
-pub fn run_study_days_budgeted(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-    days: u32,
-) -> Result<u32, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let until = days.min(eco.window.num_days() as u32);
-    let (runner, _eco) = run_budgeted_until(runner, eco, Some(policy), until)?;
-    Ok(runner.day)
+/// One collection campaign, configured by builder. Every combination of
+/// snapshots, memory budget, incremental folds, halt day and resume runs
+/// through the same day loop: step the day, fold it, enforce the budget,
+/// save the interval snapshot, and at the end halt or assemble.
+///
+/// ```no_run
+/// use chatlens_core::study::{Campaign, CampaignConfig, CheckpointPolicy};
+/// use chatlens_workload::ScenarioConfig;
+///
+/// let policy = CheckpointPolicy::daily("checkpoints");
+/// let state = Campaign::new(CampaignConfig::default())
+///     .checkpoint(&policy)
+///     .halt_after(20)
+///     .run(ScenarioConfig::at_scale(0.01))?
+///     .into_halted()
+///     .expect("halted at day 20");
+/// let ds = Campaign::new(state.campaign)
+///     .checkpoint(&policy)
+///     .resume(&state)?
+///     .into_dataset();
+/// # Ok::<(), chatlens_core::StudyError>(())
+/// ```
+pub struct Campaign<'a> {
+    config: CampaignConfig,
+    checkpoint: Option<&'a CheckpointPolicy>,
+    budget: Option<&'a BudgetPolicy>,
+    folds: Option<&'a mut FoldDriver>,
+    halt_after: Option<u32>,
 }
 
-/// Resume a budgeted campaign from a v6 snapshot and run it to
-/// completion (no further snapshot saves). The budget policy must carry
-/// the snapshot's ceiling ([`BudgetError::ResumeMismatch`] otherwise);
-/// spilled-partition dedup indexes are rebuilt by faulting each
-/// manifest partition exactly once.
-pub fn resume_study_budgeted(
-    state: &CampaignState,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let (eco, runner) = rebuild_budgeted(state, budget)?;
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, None, days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
-}
+impl<'a> Campaign<'a> {
+    /// A plain campaign under `config`: no snapshots, no budget, no
+    /// folds, run to the end.
+    pub fn new(config: CampaignConfig) -> Campaign<'a> {
+        Campaign {
+            config,
+            checkpoint: None,
+            budget: None,
+            folds: None,
+            halt_after: None,
+        }
+    }
 
-/// [`resume_study_budgeted`] with snapshot saves per the checkpoint
-/// policy (a resumed budgeted run is itself resumable).
-pub fn resume_study_budgeted_checkpointed(
-    state: &CampaignState,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let (eco, runner) = rebuild_budgeted(state, budget)?;
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, Some(policy), days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
-}
+    /// Save a snapshot per `policy`. Snapshots carry the fold ledger and
+    /// the budget accountant when those are attached, so the run resumes
+    /// under the same options.
+    pub fn checkpoint(mut self, policy: &'a CheckpointPolicy) -> Campaign<'a> {
+        self.checkpoint = Some(policy);
+        self
+    }
 
-/// [`rebuild`] plus budget-accountant restoration: resume the
-/// accountant from the snapshot's budget state and re-register the
-/// spilled tweet/control ids into the discovery dedup indexes.
-fn rebuild_budgeted(
-    state: &CampaignState,
-    budget: &BudgetPolicy,
-) -> Result<(Ecosystem, Runner), StudyError> {
-    let (eco, mut runner) = rebuild(state);
-    let bs = state.budget.as_ref().ok_or_else(|| {
-        StudyError::Budget(BudgetError::ResumeMismatch(
-            "snapshot carries no budget state: it was written by an unbudgeted run; \
-             resume it without --mem-budget"
-                .into(),
-        ))
-    })?;
-    let mut accountant = MemoryBudget::resume(bs, budget, runner.campaign.seed)?;
-    accountant.reindex_spilled(&mut runner.discovery)?;
-    runner.budget = Some(accountant);
-    Ok((eco, runner))
-}
+    /// Run under a hard memory budget: day partitions of the collected
+    /// logs are spilled coldest-first through the policy's (possibly
+    /// fault-injected) filesystem whenever the accounted resident size
+    /// exceeds the ceiling, and the report is streamed at the end as
+    /// [`RunOutcome::Budgeted`], byte-identical to the unbudgeted
+    /// [`Dataset::campaign_report`]. A resume must carry the snapshot's
+    /// ceiling ([`BudgetError::ResumeMismatch`] otherwise).
+    pub fn budget(mut self, policy: &'a BudgetPolicy) -> Campaign<'a> {
+        self.budget = Some(policy);
+        self
+    }
 
-/// The budgeted day loop: step, enforce the budget at the day boundary
-/// (spill first, typed refusal only if spilling cannot satisfy the
-/// ceiling), then snapshot per the policy. Mirrors [`run_guarded_until`]
-/// without the unwind guard — budgeted runs stop at clean boundaries or
-/// refuse with a typed error, never mid-day.
-fn run_budgeted_until(
-    mut runner: Runner,
-    mut eco: Ecosystem,
-    policy: Option<&CheckpointPolicy>,
-    until: u32,
-) -> Result<(Runner, Ecosystem), StudyError> {
-    let seed = runner.campaign.seed;
-    let mut vfs = policy.map(|p| p.vfs(seed));
-    while runner.day < until {
-        runner.step_day(&mut eco);
-        runner.enforce_budget(0)?;
-        if let (Some(policy), Some(vfs)) = (policy, vfs.as_mut()) {
-            if policy.every_days > 0 && runner.day.is_multiple_of(policy.every_days) {
-                let state = runner.state(&eco);
-                let path = policy.snapshot_path(runner.day);
-                if let Err(err) = save_to_file_with(vfs.as_mut(), &path, &state) {
-                    if policy.disk_fault.tolerates_save_failures() {
-                        // Injected fault: costs chain durability, never
-                        // the run (recovery walks past the hole).
-                        eprintln!("# snapshot save failed (injected): {err}");
-                    } else {
-                        return Err(StudyError::Checkpoint(err));
+    /// Fold every completed day into `driver`'s incremental analyses
+    /// (call [`FoldDriver::finish`] afterwards for the report fragments).
+    /// A resume restores the driver from the snapshot's fold ledger and
+    /// audits it against the snapshot's collections.
+    pub fn folds(mut self, driver: &'a mut FoldDriver) -> Campaign<'a> {
+        self.folds = Some(driver);
+        self
+    }
+
+    /// Stop cleanly after `days` completed study days (clamped to the
+    /// study window) and return [`RunOutcome::Halted`] with the state at
+    /// that boundary instead of assembling the output.
+    pub fn halt_after(mut self, days: u32) -> Campaign<'a> {
+        self.halt_after = Some(days);
+        self
+    }
+
+    /// Build the world from `scenario` and run the campaign from day 0.
+    pub fn run(self, scenario: ScenarioConfig) -> Result<RunOutcome, StudyError> {
+        self.refuse_conflicts()?;
+        let mut eco = Ecosystem::build(scenario);
+        let mut runner = Runner::new(eco.window, self.config);
+        if let Some(policy) = self.budget {
+            runner.attach_budget(policy, &eco)?;
+        }
+        self.drive(runner, &mut eco)
+    }
+
+    /// Continue a campaign from a snapshot. The world is rebuilt from the
+    /// snapshot's scenario and the campaign's mutations are replayed; the
+    /// run continues under the snapshot's own `state.campaign` (set its
+    /// `threads` before the call to change the worker count); the config
+    /// given to [`Campaign::new`] is not consulted. The output is
+    /// byte-identical to the uninterrupted run's.
+    pub fn resume(mut self, state: &CampaignState) -> Result<RunOutcome, StudyError> {
+        self.refuse_conflicts()?;
+        let (mut eco, runner) = self.rebuild(state)?;
+        self.drive(runner, &mut eco)
+    }
+
+    /// Refuse option combinations no campaign can run.
+    fn refuse_conflicts(&self) -> Result<(), StudyError> {
+        if self.budget.is_some() && self.folds.is_some() {
+            return Err(StudyError::BudgetWithFolds);
+        }
+        Ok(())
+    }
+
+    /// Rebuild the ecosystem and the runner from a snapshot, then restore
+    /// the accountant and the folds this campaign attaches. A snapshot
+    /// that does not fit those options, or that decodes cleanly yet
+    /// describes a state no campaign can reach, is a typed refusal.
+    fn rebuild(&mut self, state: &CampaignState) -> Result<(Ecosystem, Runner), StudyError> {
+        match (self.budget, &state.budget) {
+            (None, Some(_)) => return Err(StudyError::BudgetedSnapshot),
+            (Some(_), None) => {
+                return Err(StudyError::Budget(BudgetError::ResumeMismatch(
+                    "snapshot carries no budget state: it was written by an unbudgeted run; \
+                     resume it without --mem-budget"
+                        .into(),
+                )))
+            }
+            _ => {}
+        }
+        if self.folds.is_some() && state.folds.is_none() {
+            return Err(StudyError::NoFoldLedger);
+        }
+        let mut eco = Ecosystem::build(state.scenario.clone());
+        eco.apply_delta(&state.delta);
+        let mut runner = Runner::from_state(state, eco.window);
+        let violations = crate::audit::audit_components(
+            runner.window.num_days() as u32,
+            &runner.discovery,
+            &runner.monitor,
+            &runner.joiner,
+        );
+        if !violations.is_empty() {
+            return Err(StudyError::Invariants(violations));
+        }
+        if runner.marks.len() != state.day as usize {
+            return Err(StudyError::Inconsistent(
+                "day marks do not match the completed days",
+            ));
+        }
+        if let (Some(policy), Some(bs)) = (self.budget, &state.budget) {
+            let mut accountant = MemoryBudget::resume(bs, policy, runner.campaign.seed)?;
+            accountant.reindex_spilled(&mut runner.discovery)?;
+            runner.budget = Some(accountant);
+        }
+        if let (Some(driver), Some(ledger)) = (self.folds.as_deref_mut(), &state.folds) {
+            driver.restore(ledger).map_err(StudyError::FoldMismatch)?;
+            if driver.days_folded() != state.day {
+                return Err(StudyError::Inconsistent(
+                    "fold ledger day count disagrees with the snapshot day",
+                ));
+            }
+            let live = [
+                runner.discovery.tweets.len(),
+                runner.discovery.control.len(),
+                runner.discovery.groups.len(),
+                runner.joiner.joined.len(),
+            ]
+            .map(|n| n as u64);
+            let seen = [
+                ledger.tweets_seen,
+                ledger.control_seen,
+                ledger.groups_seen,
+                ledger.joined_seen,
+            ];
+            if seen != live {
+                return Err(StudyError::Inconsistent(
+                    "fold ledger cursors disagree with the snapshot's collections",
+                ));
+            }
+        }
+        Ok((eco, runner))
+    }
+
+    /// The day loop. A failing day returns its error before anything is
+    /// saved, so the chain ends at the last completed boundary.
+    fn drive(mut self, mut runner: Runner, eco: &mut Ecosystem) -> Result<RunOutcome, StudyError> {
+        let days = runner.window.num_days() as u32;
+        let until = self.halt_after.map_or(days, |d| d.min(days));
+        let mut saver = self.checkpoint.map(|p| (p, p.vfs(runner.campaign.seed)));
+        while runner.day < until {
+            runner.step_day(eco)?;
+            if let Some(driver) = self.folds.as_deref_mut() {
+                driver.fold_day(&runner.parts());
+            }
+            runner.enforce_budget(0)?;
+            if let Some((policy, vfs)) = saver.as_mut() {
+                if policy.every_days > 0 && runner.day.is_multiple_of(policy.every_days) {
+                    let state = runner.state(eco, self.folds.as_deref());
+                    let path = policy.snapshot_path(runner.day);
+                    match save_to_file_with(vfs.as_mut(), &path, &state) {
+                        // An injected fault costs durability (the chain
+                        // gets a hole recovery must walk past), never the
+                        // run.
+                        Err(err) if policy.disk_fault.tolerates_save_failures() => {
+                            eprintln!("# snapshot save failed (injected): {err}");
+                        }
+                        saved => saved?,
                     }
                 }
             }
         }
-    }
-    Ok((runner, eco))
-}
-
-/// Run the full study while folding every completed day into `driver`'s
-/// incremental analyses. The returned dataset is identical to
-/// [`run_study_with`]'s; the analysis results live in the driver — call
-/// [`FoldDriver::finish`] afterwards for the report fragments.
-pub fn run_study_folded(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    driver: &mut FoldDriver,
-) -> Dataset {
-    let mut eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    let days = eco.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-        driver.fold_day(&runner.parts());
-    }
-    runner.finish(&mut eco)
-}
-
-/// [`run_study_folded`] with snapshot saves per the policy. Every
-/// snapshot carries the driver's [`FoldLedger`](crate::fold::FoldLedger),
-/// so the run resumes via [`resume_study_folded`] without replaying any
-/// raw history.
-pub fn run_study_folded_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    driver: &mut FoldDriver,
-) -> Result<Dataset, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    run_guarded(runner, eco, policy, Some(driver))
-}
-
-/// Resume a snapshotted incremental campaign: restore `driver`'s folds
-/// from the snapshot's ledger (auditing day and cursor agreement), then
-/// run — and fold — the remaining days.
-///
-/// # Panics
-/// Panics if the snapshot carries no fold ledger (it was written by a
-/// batch run — resume it with [`resume_study`] instead, or re-run
-/// incrementally from scratch), if the ledger does not match the
-/// driver's registered folds, or if the ledger's cursors disagree with
-/// the snapshot's collections.
-pub fn resume_study_folded(state: &CampaignState, driver: &mut FoldDriver) -> Dataset {
-    let (mut eco, mut runner) = rebuild_folded(state, driver);
-    let days = runner.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-        driver.fold_day(&runner.parts());
-    }
-    runner.finish(&mut eco)
-}
-
-/// [`resume_study_folded`] with snapshot saves per the policy (a resumed
-/// incremental run is itself resumable).
-///
-/// # Panics
-/// As [`resume_study_folded`].
-pub fn resume_study_folded_checkpointed(
-    state: &CampaignState,
-    policy: &CheckpointPolicy,
-    driver: &mut FoldDriver,
-) -> Result<Dataset, CheckpointError> {
-    let (eco, runner) = rebuild_folded(state, driver);
-    run_guarded(runner, eco, policy, Some(driver))
-}
-
-/// [`rebuild`] plus fold-ledger restoration and audit.
-fn rebuild_folded(state: &CampaignState, driver: &mut FoldDriver) -> (Ecosystem, Runner) {
-    let (eco, runner) = rebuild(state);
-    let ledger = state.folds.as_ref().expect(
-        "snapshot carries no fold ledger: it was written by a batch run; \
-         resume it in batch mode or re-run incrementally from scratch",
-    );
-    driver
-        .restore(ledger)
-        .expect("fold ledger does not match this build's registered folds");
-    assert_eq!(
-        driver.days_folded(),
-        state.day,
-        "fold ledger day count disagrees with snapshot day"
-    );
-    assert_eq!(
-        (
-            ledger.tweets_seen,
-            ledger.control_seen,
-            ledger.groups_seen,
-            ledger.joined_seen,
-        ),
-        (
-            runner.discovery.tweets.len() as u64,
-            runner.discovery.control.len() as u64,
-            runner.discovery.groups.len() as u64,
-            runner.joiner.joined.len() as u64,
-        ),
-        "fold ledger cursors disagree with the snapshot's collections"
-    );
-    (eco, runner)
-}
-
-/// Rebuild the world and the runner from a snapshot: the ecosystem is
-/// re-derived from the scenario (deterministic), the campaign's mutations
-/// are replayed from the delta, and every pipeline component is restored.
-fn rebuild(state: &CampaignState) -> (Ecosystem, Runner) {
-    let mut eco = Ecosystem::build(state.scenario.clone());
-    eco.apply_delta(&state.delta);
-    let runner = Runner::from_state(state, eco.window);
-    // A snapshot can decode cleanly (magic, version, checksum all good)
-    // and still describe a state no campaign can reach; audit the
-    // restored components before running a single event on top of them.
-    let violations = crate::audit::audit_components(
-        runner.window.num_days() as u32,
-        &runner.discovery,
-        &runner.monitor,
-        &runner.joiner,
-    );
-    assert!(
-        violations.is_empty(),
-        "restored snapshot violates campaign invariants: {violations:#?}"
-    );
-    assert_eq!(
-        runner.marks.len(),
-        state.day as usize,
-        "snapshot must carry one day mark per completed day"
-    );
-    (eco, runner)
-}
-
-/// Drive a runner to completion under a checkpoint policy, optionally
-/// folding each completed day into an incremental-analysis driver (whose
-/// ledger then rides inside every snapshot, including the drop-save).
-fn run_guarded(
-    runner: Runner,
-    eco: Ecosystem,
-    policy: &CheckpointPolicy,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_guarded_until(runner, eco, policy, driver, days)?;
-    Ok(runner.finish(&mut eco))
-}
-
-/// The guarded day loop, stopping after `until` completed days (callers
-/// pass the full window length for a complete run). Returns the runner
-/// and ecosystem so the caller decides between final assembly and a
-/// mid-campaign halt.
-fn run_guarded_until(
-    runner: Runner,
-    eco: Ecosystem,
-    policy: &CheckpointPolicy,
-    driver: Option<&mut FoldDriver>,
-    until: u32,
-) -> Result<(Runner, Ecosystem), CheckpointError> {
-    let seed = runner.campaign.seed;
-    let mut guard = RunGuard {
-        runner: Some(runner),
-        eco: Some(eco),
-        policy,
-        driver,
-        vfs: policy.vfs(seed),
-    };
-    loop {
-        let runner = guard.runner.as_mut().expect("runner present until taken");
-        let eco = guard.eco.as_mut().expect("eco present until taken");
-        if runner.day >= until {
-            break;
+        if self.halt_after.is_some() {
+            return Ok(RunOutcome::Halted(runner.state(eco, self.folds.as_deref())));
         }
-        runner.step_day(eco);
-        if let Some(driver) = guard.driver.as_deref_mut() {
-            driver.fold_day(&runner.parts());
-        }
-        if policy.every_days > 0 && runner.day.is_multiple_of(policy.every_days) {
-            let state = match guard.driver.as_deref() {
-                Some(driver) => runner.state_with_folds(eco, driver),
-                None => runner.state(eco),
-            };
-            let path = policy.snapshot_path(runner.day);
-            if let Err(err) = save_to_file_with(guard.vfs.as_mut(), &path, &state) {
-                if policy.disk_fault.tolerates_save_failures() {
-                    // An injected fault costs durability (the chain gets
-                    // a hole recovery must walk past), never the run.
-                    eprintln!("# snapshot save failed (injected): {err}");
-                } else {
-                    return Err(err);
-                }
-            }
-        }
-    }
-    // Disarm the drop guard before handing the pair back.
-    let runner = guard.runner.take().expect("runner");
-    let eco = guard.eco.take().expect("eco");
-    drop(guard);
-    Ok((runner, eco))
-}
-
-/// Owns the runner across the checkpointed loop so an unwind (a panic in
-/// an event handler) still leaves a snapshot of the last completed day on
-/// disk. Disarmed by `take`-ing the fields before final assembly.
-struct RunGuard<'p, 'd> {
-    runner: Option<Runner>,
-    eco: Option<Ecosystem>,
-    policy: &'p CheckpointPolicy,
-    driver: Option<&'d mut FoldDriver>,
-    vfs: Box<dyn Vfs>,
-}
-
-impl Drop for RunGuard<'_, '_> {
-    fn drop(&mut self) {
-        if !self.policy.on_drop {
-            return;
-        }
-        if let (Some(runner), Some(eco)) = (self.runner.as_ref(), self.eco.as_ref()) {
-            // Best-effort: never panic (or surface I/O errors) mid-unwind.
-            let state = match self.driver.as_deref() {
-                Some(driver) => runner.state_with_folds(eco, driver),
-                None => runner.state(eco),
-            };
-            let _ = save_to_file_with(
-                self.vfs.as_mut(),
-                &self.policy.snapshot_path(runner.day),
-                &state,
-            );
-        }
+        Ok(match runner.budget {
+            Some(_) => RunOutcome::Budgeted(runner.finish_budgeted(eco)?),
+            None => RunOutcome::Dataset(runner.finish(eco)?),
+        })
     }
 }
 
@@ -878,37 +821,11 @@ impl Runner {
     /// its final second (23:59:59) — no campaign event is ever scheduled
     /// there, so running to it is equivalent to running through the day
     /// as part of one uninterrupted `run_until`.
-    fn step_day(&mut self, eco: &mut Ecosystem) {
+    fn step_day(&mut self, eco: &mut Ecosystem) -> Result<(), StudyError> {
         let deadline = (self.window.start_time() + SimDuration::days(u64::from(self.day) + 1))
             .checked_sub(SimDuration::secs(1))
             .expect("window");
-        let Runner {
-            engine,
-            campaign,
-            net,
-            rng,
-            discovery,
-            monitor,
-            joiner,
-            pii,
-            metrics,
-            ..
-        } = self;
-        engine.run_until(deadline, |eng, ev| {
-            handle_event(
-                ev,
-                eng.now(),
-                eco,
-                campaign,
-                net,
-                rng,
-                discovery,
-                monitor,
-                joiner,
-                pii,
-                metrics,
-            );
-        });
+        self.run_events(eco, deadline)?;
         self.day += 1;
         self.marks.push(DayMark {
             day: self.day - 1,
@@ -928,53 +845,37 @@ impl Runner {
                 &self.monitor,
                 &self.joiner,
             );
-            assert!(
-                violations.is_empty(),
-                "invariant audit failed after day {}: {violations:#?}",
-                self.day - 1
-            );
+            if !violations.is_empty() {
+                return Err(StudyError::DayInvariants {
+                    day: self.day - 1,
+                    violations,
+                });
+            }
         }
+        Ok(())
     }
 
-    /// Run any remaining events (the final day's tail past 23:59:59 holds
-    /// none, but resumed runners may still be mid-campaign), record the
-    /// end-of-run metrics, and assemble the dataset.
-    fn finish(mut self, eco: &mut Ecosystem) -> Dataset {
-        self.drain_tail(eco);
-        self.record_final_metrics();
-        let mut ds = Dataset::assemble(
-            self.window,
-            self.discovery,
-            self.monitor.timelines,
-            self.monitor.gaps,
-            self.monitor.quarantine,
-            self.joiner,
-            self.pii,
-            self.marks,
-        );
-        ds.metrics = self.metrics;
-        ds
-    }
-
-    /// Run any events left past the final day boundary (a complete run
-    /// has none; a resumed mid-campaign runner may).
-    fn drain_tail(&mut self, eco: &mut Ecosystem) {
-        let end = self.window.end_time();
-        {
-            let Runner {
-                engine,
-                campaign,
-                net,
-                rng,
-                discovery,
-                monitor,
-                joiner,
-                pii,
-                metrics,
-                ..
-            } = self;
-            engine.run_until(end, |eng, ev| {
-                handle_event(
+    /// Handle every pending event up to `deadline` and return the first
+    /// handler error. The engine pops the window's remaining events
+    /// unhandled after a failure, so a failed runner is only ever
+    /// discarded, never saved.
+    fn run_events(&mut self, eco: &mut Ecosystem, deadline: SimTime) -> Result<(), CoreError> {
+        let Runner {
+            engine,
+            campaign,
+            net,
+            rng,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            ..
+        } = self;
+        let mut result = Ok(());
+        engine.run_until(deadline, |eng, ev| {
+            if result.is_ok() {
+                result = handle_event(
                     ev,
                     eng.now(),
                     eco,
@@ -987,8 +888,29 @@ impl Runner {
                     pii,
                     metrics,
                 );
-            });
-        }
+            }
+        });
+        result
+    }
+
+    /// Run any remaining events (the final day's tail past 23:59:59 holds
+    /// none, but resumed runners may still be mid-campaign), record the
+    /// end-of-run metrics, and assemble the dataset.
+    fn finish(mut self, eco: &mut Ecosystem) -> Result<Dataset, StudyError> {
+        self.run_events(eco, self.window.end_time())?;
+        self.record_final_metrics();
+        let mut ds = Dataset::assemble(
+            self.window,
+            self.discovery,
+            self.monitor.timelines,
+            self.monitor.gaps,
+            self.monitor.quarantine,
+            self.joiner,
+            self.pii,
+            self.marks,
+        );
+        ds.metrics = self.metrics;
+        Ok(ds)
     }
 
     /// Record the end-of-run metrics (part of the frozen counter digest,
@@ -1069,8 +991,8 @@ impl Runner {
     /// render as usual. Byte-identical to [`Runner::finish`]'s
     /// [`Dataset::campaign_report`] by construction — both funnel
     /// through `render_campaign_report`.
-    fn finish_budgeted(mut self, eco: &mut Ecosystem) -> Result<BudgetedRun, BudgetError> {
-        self.drain_tail(eco);
+    fn finish_budgeted(mut self, eco: &mut Ecosystem) -> Result<BudgetedRun, StudyError> {
+        self.run_events(eco, self.window.end_time())?;
         self.record_final_metrics();
         let mut budget = self
             .budget
@@ -1128,8 +1050,9 @@ impl Runner {
         })
     }
 
-    /// Capture the full campaign state (valid at a day boundary).
-    fn state(&self, eco: &Ecosystem) -> CampaignState {
+    /// Capture the full campaign state (valid at a day boundary),
+    /// including the fold ledger of an incremental run's driver.
+    fn state(&self, eco: &Ecosystem, folds: Option<&FoldDriver>) -> CampaignState {
         CampaignState {
             scenario: eco.config.clone(),
             campaign: self.campaign,
@@ -1143,18 +1066,10 @@ impl Runner {
             pii: PiiState::capture(&self.pii),
             metrics: self.metrics.clone(),
             marks: self.marks.clone(),
-            folds: None,
+            folds: folds.map(FoldDriver::ledger),
             delta: eco.export_delta(),
             budget: self.budget.as_ref().map(|b| b.state()),
         }
-    }
-
-    /// Capture the full campaign state including the fold ledger of an
-    /// incremental run's driver.
-    fn state_with_folds(&self, eco: &Ecosystem, driver: &FoldDriver) -> CampaignState {
-        let mut state = self.state(eco);
-        state.folds = Some(driver.ledger());
-        state
     }
 
     /// Borrow the live collections for per-day fold slicing.
@@ -1204,7 +1119,7 @@ impl Runner {
 }
 
 /// One campaign event, dispatched against the pipeline components. Free
-/// function (rather than a `Runner` method) so `step_day` can lend the
+/// function (rather than a `Runner` method) so `run_events` can lend the
 /// engine to `run_until` while the handler mutates the other fields.
 #[allow(clippy::too_many_arguments)]
 fn handle_event(
@@ -1219,13 +1134,11 @@ fn handle_event(
     joiner: &mut Joiner,
     pii: &mut PiiStore,
     metrics: &mut Metrics,
-) {
+) -> Result<(), CoreError> {
     match ev {
         CampaignEvent::Search => {
             metrics.incr(keys::CAMPAIGN_SEARCH_ROUNDS);
-            metrics.time_stage(keys::STAGE_SEARCH, || {
-                discovery.run_search(net, eco, now).expect("search round")
-            });
+            metrics.time_stage(keys::STAGE_SEARCH, || discovery.run_search(net, eco, now))?;
             metrics.observe(
                 keys::DISCOVERY_GROUPS_KNOWN,
                 discovery.group_count() as f64,
@@ -1234,23 +1147,17 @@ fn handle_event(
         }
         CampaignEvent::StreamDrain => {
             metrics.incr(keys::CAMPAIGN_STREAM_DRAINS);
-            metrics.time_stage(keys::STAGE_STREAM, || {
-                discovery.drain_stream(net, eco, now).expect("stream drain")
-            });
+            metrics.time_stage(keys::STAGE_STREAM, || discovery.drain_stream(net, eco, now))?;
         }
         CampaignEvent::SampleDrain => {
             metrics.incr(keys::CAMPAIGN_SAMPLE_DRAINS);
-            metrics.time_stage(keys::STAGE_SAMPLE, || {
-                discovery.drain_sample(net, eco, now).expect("sample drain")
-            });
+            metrics.time_stage(keys::STAGE_SAMPLE, || discovery.drain_sample(net, eco, now))?;
         }
         CampaignEvent::Monitor { day } => {
             metrics.incr(keys::CAMPAIGN_MONITOR_ROUNDS);
             metrics.time_stage(keys::STAGE_MONITOR, || {
-                monitor
-                    .run_day(net, eco, discovery, now, day, Some(pii))
-                    .expect("monitor round")
-            });
+                monitor.run_day(net, eco, discovery, now, day, Some(pii))
+            })?;
         }
         CampaignEvent::Join => {
             metrics.time_stage(keys::STAGE_JOIN, || {
@@ -1258,45 +1165,41 @@ fn handle_event(
                     let budget = eco.config.join_budget_scaled(kind);
                     let disco: &Discovery = discovery;
                     let timelines = &monitor.timelines;
-                    joiner
-                        .join_phase_with(
-                            net,
-                            eco,
-                            disco,
-                            kind,
-                            budget,
-                            now,
-                            rng,
-                            campaign.join_strategy,
-                            &|key| {
-                                disco
-                                    .slot_of_key(key)
-                                    .and_then(|slot| timelines.get(slot))
-                                    .and_then(|t| t.size_span())
-                                    .map(|(_, last)| last)
-                            },
-                        )
-                        .expect("join phase");
+                    joiner.join_phase_with(
+                        net,
+                        eco,
+                        disco,
+                        kind,
+                        budget,
+                        now,
+                        rng,
+                        campaign.join_strategy,
+                        &|key| {
+                            disco
+                                .slot_of_key(key)
+                                .and_then(|slot| timelines.get(slot))
+                                .and_then(|t| t.size_span())
+                                .map(|(_, last)| last)
+                        },
+                    )?;
                 }
-            });
+                Ok::<(), CoreError>(())
+            })?;
         }
         CampaignEvent::Collect => {
             metrics.time_stage(keys::STAGE_COLLECT, || {
-                joiner
-                    .collect_phase(net, eco, now, pii)
-                    .expect("collect phase")
-            });
+                joiner.collect_phase(net, eco, now, pii)
+            })?;
         }
         CampaignEvent::Backfill { day } => {
             metrics.incr(keys::CAMPAIGN_BACKFILL_ROUNDS);
             metrics.time_stage(keys::STAGE_BACKFILL, || {
-                discovery.backfill(net, eco, now).expect("stream backfill");
-                monitor
-                    .backfill_day(net, eco, discovery, now, day, Some(pii))
-                    .expect("monitor backfill");
-            });
+                discovery.backfill(net, eco, now)?;
+                monitor.backfill_day(net, eco, discovery, now, day, Some(pii))
+            })?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1424,14 +1327,18 @@ mod tests {
         let scenario = ScenarioConfig::at_scale(0.003);
         let mut full = run_study(scenario.clone());
 
-        let mut eco = Ecosystem::build(scenario);
-        let mut runner = Runner::new(eco.window, CampaignConfig::default());
-        for _ in 0..3 {
-            runner.step_day(&mut eco);
-        }
-        let state = runner.state(&eco);
-        drop((runner, eco));
-        let mut resumed = resume_study(&state);
+        let campaign = CampaignConfig::default();
+        let state = Campaign::new(campaign)
+            .halt_after(3)
+            .run(scenario)
+            .expect("halted run")
+            .into_halted()
+            .expect("halts at day 3");
+        let mut resumed = Campaign::new(campaign)
+            .resume(&state)
+            .expect("resumed run")
+            .into_dataset()
+            .expect("dataset");
 
         full.metrics.strip_wall_clock();
         resumed.metrics.strip_wall_clock();

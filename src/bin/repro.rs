@@ -24,12 +24,8 @@ use chatlens::core::audit_dataset;
 use chatlens::core::budget::{BudgetLimit, BudgetPolicy};
 use chatlens::core::net::SERVICE_NAMES;
 use chatlens::core::{
-    recover_latest_state, resume_study, resume_study_budgeted, resume_study_budgeted_checkpointed,
-    resume_study_checkpointed, resume_study_folded, resume_study_folded_checkpointed,
-    run_study_budgeted, run_study_budgeted_checkpointed, run_study_checkpointed,
-    run_study_days_budgeted, run_study_days_checkpointed, run_study_folded,
-    run_study_folded_checkpointed, BudgetedRun, CampaignConfig, CampaignState, CheckpointPolicy,
-    FoldDriver,
+    recover_latest_state, BudgetedRun, Campaign, CampaignConfig, CampaignState, CheckpointPolicy,
+    FoldDriver, RunOutcome, StudyError,
 };
 use chatlens::perspective::score_dataset;
 use chatlens::platforms::id::PlatformKind;
@@ -44,7 +40,7 @@ use chatlens::simnet::metrics::{keys, Metrics};
 use chatlens::simnet::par::Pool;
 use chatlens::twitter::Lang;
 use chatlens::workload::Vocabulary;
-use chatlens::{run_study_with, Dataset, ScenarioConfig};
+use chatlens::{Dataset, ScenarioConfig};
 
 const PLATFORMS: [PlatformKind; 3] = PlatformKind::ALL;
 
@@ -175,14 +171,16 @@ OPTIONS:
                      (checkpoint, disk) RNG stream off the campaign
                      seed.
     --halt-after-day <n>
-                     run a fresh checkpointed batch campaign but stop
-                     cleanly after <n> completed study days, leaving the
-                     snapshot chain on disk (the deterministic kill at a
-                     day boundary used by the crash-storm CI smoke);
-                     needs --checkpoint-dir
+                     stop the campaign cleanly after <n> completed study
+                     days, leaving the snapshot chain on disk (the
+                     deterministic kill at a day boundary used by the
+                     crash-storm CI smoke); combines with --resume,
+                     --analysis incremental and --mem-budget; needs
+                     --checkpoint-dir
     --mem-budget <bytes|min>
                      run the campaign under a hard memory budget (the
-                     `run` artifact only): the accountant tracks the
+                     `run` artifact only, and not with --analysis
+                     incremental): the accountant tracks the
                      encoded-size resident bytes of the big stores and
                      spills cold day-partitions — coldest day first,
                      deterministically — through the (possibly
@@ -207,9 +205,12 @@ OPTIONS:
     --csv <dir>      export figure series as CSV files into <dir>
     -h, --help       show this help";
 
+/// The process's one exit point: print a [`CliError`] diagnostic and
+/// terminate with its exit code.
 fn main() {
-    if let Err(e) = repro() {
-        exit_with(e);
+    if let Err(err) = repro() {
+        eprintln!("error: {}", err.message);
+        std::process::exit(err.code);
     }
 }
 
@@ -238,6 +239,7 @@ fn repro() -> Result<(), CliError> {
     let mut mem_budget: Option<BudgetLimit> = None;
     let mut spill_dir: Option<std::path::PathBuf> = None;
     let mut report_out: Option<std::path::PathBuf> = None;
+    let mut audit: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -280,10 +282,11 @@ fn repro() -> Result<(), CliError> {
                 return result;
             }
             "audit" => {
-                return match args.next() {
-                    Some(file) => audit_snapshot(std::path::Path::new(&file)),
-                    None => Err(CliError::usage("audit needs a snapshot file")),
-                };
+                let file = args
+                    .next()
+                    .ok_or_else(|| CliError::usage("audit needs a snapshot file"))?;
+                audit = Some(file.into());
+                artifact = a;
             }
             "--scale" => {
                 scale = flag_with(&mut args, "--scale <f64|paper|10x>", |v| match v {
@@ -370,8 +373,7 @@ fn repro() -> Result<(), CliError> {
         }
     }
     if artifact == "lint" {
-        run_lint(stats, lint_json, lint_out.as_deref());
-        return Ok(());
+        return run_lint(stats, lint_json, lint_out.as_deref());
     }
     let pool = Pool::new(threads);
     let mut config = ScenarioConfig::at_scale(scale);
@@ -416,171 +418,145 @@ fn repro() -> Result<(), CliError> {
     let policy = ckpt_dir.as_ref().map(|dir| CheckpointPolicy {
         dir: dir.clone(),
         every_days: ckpt_every.max(1),
-        on_drop: true,
         disk_fault,
     });
+    // `audit <file>` runs exactly that snapshot to the end and writes
+    // nothing: options that would save, halt, fold or pick another
+    // snapshot are refused rather than silently applied or ignored.
+    if audit.is_some() {
+        let conflicts = [
+            ("--checkpoint-dir", ckpt_dir.is_some()),
+            ("--resume", resume.is_some()),
+            ("--halt-after-day", halt_after.is_some()),
+            ("--analysis incremental", incremental),
+        ];
+        if let Some((flag, _)) = conflicts.iter().find(|(_, set)| *set) {
+            return Err(CliError::usage(format!(
+                "audit does not combine with {flag}"
+            )));
+        }
+    }
+    if halt_after.is_some() && policy.is_none() {
+        return Err(CliError::usage("--halt-after-day needs --checkpoint-dir"));
+    }
     // `--mem-budget`: the budgeted campaign. Only the `run` artifact is
     // supported — the analyses need the fully assembled dataset, while a
     // budgeted campaign streams its report from spilled partitions.
-    if let Some(limit) = mem_budget {
-        if artifact != "run" {
-            exit_with(CliError::usage(
+    let budget =
+        match mem_budget {
+            None => None,
+            Some(_) if artifact != "run" => return Err(CliError::usage(
                 "--mem-budget only supports the `run` artifact (analyses need the full dataset)",
-            ));
-        }
-        if incremental {
-            exit_with(CliError::usage(
-                "--mem-budget does not combine with --analysis incremental",
-            ));
-        }
-        let dir = spill_dir
-            .or_else(|| ckpt_dir.as_ref().map(|d| d.join("spill")))
-            .unwrap_or_else(|| {
-                exit_with(CliError::usage(
-                    "--mem-budget needs --spill-dir (or --checkpoint-dir, \
-                     whose spill/ subdirectory is the default)",
-                ))
-            });
-        // lint:allow(D6, D13) operator-addressed spill scratch dir; the Vfs owns every byte inside it
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            exit_with(CliError::failed(format!("{}: {e}", dir.display())));
-        }
-        let budget = BudgetPolicy {
-            limit,
-            dir,
-            disk_fault,
-        };
-        eprintln!(
-            "# memory budget: {} (spill dir {})",
-            match limit {
-                BudgetLimit::Bytes(b) => fmt_bytes(b),
-                BudgetLimit::Min => "min".to_string(),
-            },
-            budget.dir.display()
-        );
-        if let Some(days) = halt_after {
-            let Some(p) = &policy else {
-                exit_with(CliError::usage("--halt-after-day needs --checkpoint-dir"));
-            };
-            if resume.is_some() {
-                exit_with(CliError::usage(
-                    "--halt-after-day only applies to a fresh run",
-                ));
-            }
-            match run_study_days_budgeted(config, campaign, p, &budget, days) {
-                Ok(done) => {
-                    println!(
-                        "campaign halted after day {done} (snapshots in {}, spills in {})",
-                        p.dir.display(),
-                        budget.dir.display()
-                    );
-                    return Ok(());
-                }
-                Err(e) => exit_with(CliError::failed(format!("{e}"))),
-            }
-        }
-        let result = if let Some(path) = &resume {
-            let state = match load_resume_state(path, campaign.seed, disk_fault) {
-                Ok(Some(mut state)) => {
-                    eprintln!(
-                        "# resuming budgeted campaign from {} (day {}, threads {threads})",
-                        path.display(),
-                        state.day
-                    );
-                    state.campaign.threads = threads;
-                    Some(state)
-                }
-                Ok(None) => {
-                    eprintln!(
-                        "# no valid snapshot in {}; restarting the campaign from scratch",
-                        path.display()
-                    );
-                    None
-                }
-                Err(e) => exit_with(e),
-            };
-            match (state, &policy) {
-                (Some(state), Some(p)) => resume_study_budgeted_checkpointed(&state, p, &budget),
-                (Some(state), None) => resume_study_budgeted(&state, &budget),
-                (None, Some(p)) => run_study_budgeted_checkpointed(config, campaign, p, &budget),
-                (None, None) => run_study_budgeted(config, campaign, &budget),
-            }
-        } else {
-            eprintln!("# building ecosystem and running the 38-day budgeted campaign...");
-            match &policy {
-                Some(p) => run_study_budgeted_checkpointed(config, campaign, p, &budget),
-                None => run_study_budgeted(config, campaign, &budget),
-            }
-        };
-        let run = result.unwrap_or_else(|e| exit_with(CliError::failed(format!("{e}"))));
-        eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
-        print_budgeted_run(&run, report_out.as_deref());
-        return Ok(());
-    }
-    // `--halt-after-day N`: the deterministic mid-campaign kill. Runs the
-    // checkpointed batch campaign to the requested day boundary, leaves
-    // the snapshot chain on disk, and stops before final assembly.
-    if let Some(days) = halt_after {
-        let Some(p) = &policy else {
-            exit_with(CliError::usage("--halt-after-day needs --checkpoint-dir"));
-        };
-        if resume.is_some() || incremental {
-            exit_with(CliError::usage(
-                "--halt-after-day only applies to a fresh batch run",
-            ));
-        }
-        match run_study_days_checkpointed(config, campaign, p, days) {
-            Ok(done) => {
-                println!(
-                    "campaign halted after day {done} (snapshots in {})",
-                    p.dir.display()
+            )),
+            Some(limit) => {
+                let dir = spill_dir
+                    .or_else(|| ckpt_dir.as_ref().map(|d| d.join("spill")))
+                    .ok_or_else(|| {
+                        CliError::usage(
+                            "--mem-budget needs --spill-dir (or --checkpoint-dir, \
+                         whose spill/ subdirectory is the default)",
+                        )
+                    })?;
+                // lint:allow(D6, D13) operator-addressed spill scratch dir; the Vfs owns every byte inside it
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| CliError::failed(format!("{}: {e}", dir.display())))?;
+                eprintln!(
+                    "# memory budget: {} (spill dir {})",
+                    match limit {
+                        BudgetLimit::Bytes(b) => fmt_bytes(b),
+                        BudgetLimit::Min => "min".to_string(),
+                    },
+                    dir.display()
                 );
-                return Ok(());
+                Some(BudgetPolicy {
+                    limit,
+                    dir,
+                    disk_fault,
+                })
             }
-            Err(e) => exit_with(CliError::usage(format!("snapshot save failed: {e}"))),
+        };
+    // `audit <file>` resumes exactly that snapshot. `--resume` is `None`
+    // when no snapshot in the chain survives, and the campaign then
+    // restarts from scratch.
+    let budgeted = if budget.is_some() { "budgeted " } else { "" };
+    let mut state = match (&audit, &resume) {
+        (Some(path), _) => {
+            let state: CampaignState = load_from_file(path)
+                .map_err(|e| CliError::usage(format!("{}: {e}", path.display())))?;
+            eprintln!(
+                "# resuming campaign from {} (day {}) for audit...",
+                path.display(),
+                state.day
+            );
+            Some(state)
         }
-    }
+        (None, Some(path)) => {
+            let state = load_resume_state(path, campaign.seed, disk_fault)?;
+            match &state {
+                Some(s) => eprintln!(
+                    "# resuming {budgeted}campaign from {} (day {}, threads {threads})",
+                    path.display(),
+                    s.day
+                ),
+                None => eprintln!(
+                    "# no valid snapshot in {}; restarting the campaign from scratch",
+                    path.display()
+                ),
+            }
+            state
+        }
+        (None, None) => {
+            eprintln!("# building ecosystem and running the 38-day {budgeted}campaign...");
+            None
+        }
+    };
     // `--analysis incremental`: fold every completed day into the
     // standard analyses; checkpoints then carry folded state.
     let mut driver = incremental.then(|| FoldDriver::new(standard_folds(), threads));
-    let ds = if let Some(path) = &resume {
-        let state = match load_resume_state(path, campaign.seed, disk_fault) {
-            Ok(s) => s,
-            Err(e) => exit_with(e),
-        };
-        match state {
-            Some(mut state) => {
-                if state.budget.is_some() {
-                    exit_with(CliError::usage(
-                        "snapshot was written under --mem-budget; resume it with the \
-                         same --mem-budget (and the original --spill-dir)",
-                    ));
-                }
-                eprintln!(
-                    "# resuming campaign from {} (day {}, threads {threads})",
-                    path.display(),
-                    state.day,
-                );
-                state.campaign.threads = threads;
-                run_resumed_campaign(&state, policy.as_ref(), driver.as_mut()).unwrap_or_else(|e| {
-                    exit_with(CliError::usage(format!("snapshot save failed: {e}")))
-                })
-            }
-            None => {
-                eprintln!(
-                    "# no valid snapshot in {}; restarting the campaign from scratch",
-                    path.display()
-                );
-                run_fresh_campaign(config, campaign, policy.as_ref(), driver.as_mut())
-                    .unwrap_or_else(|e| {
-                        exit_with(CliError::usage(format!("snapshot save failed: {e}")))
-                    })
-            }
+    // A resume runs under the snapshot's campaign config; only the worker
+    // count, which never changes the output, comes from the command line.
+    if let Some(state) = state.as_mut() {
+        state.campaign.threads = threads;
+    }
+    let mut run = Campaign::new(campaign);
+    if let Some(p) = &policy {
+        run = run.checkpoint(p);
+    }
+    if let Some(b) = &budget {
+        run = run.budget(b);
+    }
+    if let Some(d) = driver.as_mut() {
+        run = run.folds(d);
+    }
+    if let Some(days) = halt_after {
+        run = run.halt_after(days);
+    }
+    let outcome = match &state {
+        Some(state) => run.resume(state),
+        None => run.run(config),
+    };
+    if audit.is_some() {
+        return audit_outcome(outcome);
+    }
+    let ds = match outcome? {
+        // `--halt-after-day N`: the deterministic mid-campaign kill. The
+        // snapshot chain stays on disk; nothing is assembled.
+        RunOutcome::Halted(state) => {
+            let spills = budget
+                .map(|b| format!(", spills in {}", b.dir.display()))
+                .unwrap_or_default();
+            println!(
+                "campaign halted after day {} (snapshots in {}{spills})",
+                state.day,
+                ckpt_dir.unwrap_or_default().display()
+            );
+            return Ok(());
         }
-    } else {
-        eprintln!("# building ecosystem and running the 38-day campaign...");
-        run_fresh_campaign(config, campaign, policy.as_ref(), driver.as_mut())
-            .unwrap_or_else(|e| exit_with(CliError::usage(format!("snapshot save failed: {e}"))))
+        RunOutcome::Budgeted(run) => {
+            eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
+            return print_budgeted_run(&run, report_out.as_deref());
+        }
+        RunOutcome::Dataset(ds) => ds,
     };
     eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
     if let Some(p) = &policy {
@@ -615,11 +591,7 @@ fn repro() -> Result<(), CliError> {
     }
     if artifact == "run" {
         if let Some(path) = &report_out {
-            // lint:allow(D6, D13) operator-requested report export, outside the durability domain
-            if let Err(e) = std::fs::write(path, ds.campaign_report().as_bytes()) {
-                exit_with(CliError::failed(format!("{}: {e}", path.display())));
-            }
-            eprintln!("# report written to {}", path.display());
+            write_report(path, &ds.campaign_report())?;
         }
         let tot = ds.totals();
         println!(
@@ -705,9 +677,8 @@ fn repro() -> Result<(), CliError> {
         });
     }
     if let Some(dir) = &csv_dir {
-        if let Err(e) = export_csv(&ds, &pool, dir) {
-            exit_with(CliError::usage(format!("CSV export failed: {e}")));
-        }
+        export_csv(&ds, &pool, dir)
+            .map_err(|e| CliError::usage(format!("CSV export failed: {e}")))?;
         eprintln!("# figure series written to {}", dir.display());
     }
     if timings {
@@ -798,13 +769,12 @@ fn flag_with<T>(
 /// Print the budgeted `run` summary: Table 2 totals, the accountant's
 /// final statistics, and (optionally) the canonical report bytes to a
 /// file for byte-comparison against an unbudgeted run.
-fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
+fn print_budgeted_run(
+    run: &BudgetedRun,
+    report_out: Option<&std::path::Path>,
+) -> Result<(), CliError> {
     if let Some(path) = report_out {
-        // lint:allow(D6, D13) operator-requested report export, outside the durability domain
-        if let Err(e) = std::fs::write(path, run.report.as_bytes()) {
-            exit_with(CliError::failed(format!("{}: {e}", path.display())));
-        }
-        eprintln!("# report written to {}", path.display());
+        write_report(path, &run.report)?;
     }
     let tot = run.totals;
     println!(
@@ -830,11 +800,21 @@ fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
         fmt_count(s.faults),
         fmt_count(s.torn_detected),
     );
+    Ok(())
+}
+
+/// Write the canonical campaign report bytes to `--report-out`.
+fn write_report(path: &std::path::Path, report: &str) -> Result<(), CliError> {
+    // lint:allow(D6, D13) operator-requested report export, outside the durability domain
+    std::fs::write(path, report.as_bytes())
+        .map_err(|e| CliError::failed(format!("{}: {e}", path.display())))?;
+    eprintln!("# report written to {}", path.display());
+    Ok(())
 }
 
 /// A typed CLI failure: the diagnostic for stderr plus the process exit
 /// code — `1` when the requested check found problems, `2` on usage or
-/// I/O errors. Threaded back to [`exit_with`] through `Result` so the
+/// I/O errors. Threaded back to `main` through `Result` so the
 /// subcommand bodies stay ordinary fallible functions instead of
 /// sprinkling `process::exit` through every filesystem touch.
 struct CliError {
@@ -860,38 +840,20 @@ impl CliError {
     }
 }
 
-/// Print a [`CliError`] diagnostic and terminate with its exit code.
-fn exit_with(err: CliError) -> ! {
-    eprintln!("error: {}", err.message);
-    std::process::exit(err.code);
-}
-
-/// Dispatch a fresh campaign across the four policy × analysis modes.
-fn run_fresh_campaign(
-    config: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: Option<&CheckpointPolicy>,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    match (policy, driver) {
-        (Some(p), Some(d)) => run_study_folded_checkpointed(config, campaign, p, d),
-        (Some(p), None) => run_study_checkpointed(config, campaign, p),
-        (None, Some(d)) => Ok(run_study_folded(config, campaign, d)),
-        (None, None) => Ok(run_study_with(config, campaign)),
-    }
-}
-
-/// Dispatch a resumed campaign across the four policy × analysis modes.
-fn run_resumed_campaign(
-    state: &CampaignState,
-    policy: Option<&CheckpointPolicy>,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    match (policy, driver) {
-        (Some(p), Some(d)) => resume_study_folded_checkpointed(state, p, d),
-        (Some(p), None) => resume_study_checkpointed(state, p),
-        (None, Some(d)) => Ok(resume_study_folded(state, d)),
-        (None, None) => Ok(resume_study(state)),
+/// The one mapping from a campaign error to its diagnostic and exit
+/// code. A failed snapshot save and a snapshot or option combination
+/// the campaign refuses are usage/I/O errors (exit 2); a campaign stage
+/// failure, a budget refusal or an invariant the campaign itself broke
+/// is a failed run (exit 1).
+impl From<StudyError> for CliError {
+    fn from(err: StudyError) -> CliError {
+        match err {
+            StudyError::Checkpoint(e) => CliError::usage(format!("snapshot save failed: {e}")),
+            StudyError::Budget(_) | StudyError::Core(_) | StudyError::DayInvariants { .. } => {
+                CliError::failed(err.to_string())
+            }
+            _ => CliError::usage(err.to_string()),
+        }
     }
 }
 
@@ -932,7 +894,6 @@ fn load_resume_state(
     let policy = CheckpointPolicy {
         dir: dir.clone(),
         every_days: 0,
-        on_drop: false,
         disk_fault,
     };
     let recovered = recover_latest_state(&policy, seed, None)
@@ -975,7 +936,7 @@ fn validate_lint_json(path: &std::path::Path) -> Result<(), CliError> {
 /// readable `chatlens-lint/v1` report instead of diagnostics; `--out`
 /// additionally writes that report to a file (useful in CI, where the
 /// human diagnostics still go to stdout).
-fn run_lint(stats: bool, json: bool, out: Option<&std::path::Path>) {
+fn run_lint(stats: bool, json: bool, out: Option<&std::path::Path>) -> Result<(), CliError> {
     // Prefer the invocation directory when it looks like the workspace
     // root (so the binary works from a checkout), falling back to the
     // compile-time manifest dir for `cargo run` from a subdirectory.
@@ -990,9 +951,9 @@ fn run_lint(stats: bool, json: bool, out: Option<&std::path::Path>) {
         let body = chatlens_lint::json::report_json(&report);
         debug_assert!(chatlens_lint::json::validate(&body).is_ok());
         if let Some(path) = out {
-            if let Err(e) = RealVfs.write_atomic(path, body.as_bytes()) {
-                exit_with(CliError::usage(format!("cannot write report: {e}")));
-            }
+            RealVfs
+                .write_atomic(path, body.as_bytes())
+                .map_err(|e| CliError::usage(format!("cannot write report: {e}")))?;
         }
         if json {
             println!("{body}");
@@ -1013,8 +974,13 @@ fn run_lint(stats: bool, json: bool, out: Option<&std::path::Path>) {
             report.suppressed
         );
     }
-    if !report.is_clean() {
-        std::process::exit(1);
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(CliError::failed(format!(
+            "{} lint finding(s)",
+            report.findings.len()
+        )))
     }
 }
 
@@ -1144,25 +1110,26 @@ fn checkpoint_repair(dir: &std::path::Path) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `repro audit <file>`: resume a snapshot to a finished dataset and run
-/// the invariant auditor over it. Exit 0 (clean) or 1 (violations);
-/// exit 2 when the snapshot itself cannot be decoded.
-fn audit_snapshot(path: &std::path::Path) -> Result<(), CliError> {
-    let state: CampaignState =
-        load_from_file(path).map_err(|e| CliError::usage(format!("{}: {e}", path.display())))?;
-    eprintln!(
-        "# resuming campaign from {} (day {}) for audit...",
-        path.display(),
-        state.day
-    );
-    let ds = resume_study(&state);
-    let violations = audit_dataset(&ds);
-    println!(
-        "audited {} groups, {} timelines, {} quarantined bodies",
-        fmt_count(ds.groups.len() as u64),
-        fmt_count(ds.timelines.len() as u64),
-        fmt_count(ds.quarantine.len() as u64)
-    );
+/// `repro audit <file>`: the snapshot resumed to a finished dataset, run
+/// through the invariant auditor. Exit 0 (clean) or 1 (violations);
+/// exit 2 when the snapshot itself cannot be decoded or resumed.
+fn audit_outcome(outcome: Result<RunOutcome, StudyError>) -> Result<(), CliError> {
+    let violations = match outcome {
+        // The restored components already break an invariant.
+        Err(StudyError::Invariants(violations)) => violations,
+        outcome => {
+            let ds = outcome?
+                .into_dataset()
+                .expect("an audit runs a plain campaign to the end");
+            println!(
+                "audited {} groups, {} timelines, {} quarantined bodies",
+                fmt_count(ds.groups.len() as u64),
+                fmt_count(ds.timelines.len() as u64),
+                fmt_count(ds.quarantine.len() as u64)
+            );
+            audit_dataset(&ds)
+        }
+    };
     if violations.is_empty() {
         println!("audit clean: every dataset invariant holds");
         return Ok(());

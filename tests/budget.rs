@@ -14,8 +14,8 @@ use std::path::PathBuf;
 
 use chatlens::core::budget::{load_spill_ledger, BudgetLimit, BudgetPolicy};
 use chatlens::core::{
-    recover_latest_state, resume_study_budgeted, run_study_budgeted,
-    run_study_budgeted_checkpointed, run_study_days_budgeted, CampaignConfig, CheckpointPolicy,
+    recover_latest_state, resume_study_budgeted, run_study_days_budgeted, BudgetedRun, Campaign,
+    CampaignConfig, CheckpointPolicy, StudyError,
 };
 use chatlens::simnet::fault::DiskFaultProfile;
 use chatlens::{run_study_with, ScenarioConfig};
@@ -34,6 +34,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A campaign under `budget`, run to the end.
+fn run_budgeted(
+    campaign: CampaignConfig,
+    budget: &BudgetPolicy,
+) -> Result<BudgetedRun, StudyError> {
+    let outcome = Campaign::new(campaign).budget(budget).run(scenario())?;
+    Ok(outcome.into_budgeted().expect("a budgeted campaign"))
+}
+
 /// The unbudgeted reference report.
 fn reference_report() -> String {
     run_study_with(scenario(), CampaignConfig::default()).campaign_report()
@@ -44,8 +53,7 @@ fn min_mode_spills_everything_cold_and_reproduces_the_report() {
     let reference = reference_report();
     let dir = scratch("min");
     let budget = BudgetPolicy::new(BudgetLimit::Min, &dir);
-    let run = run_study_budgeted(scenario(), CampaignConfig::default(), &budget)
-        .expect("Min mode never refuses");
+    let run = run_budgeted(CampaignConfig::default(), &budget).expect("Min mode never refuses");
     assert_eq!(
         run.report, reference,
         "budgeted report must be byte-identical to the unbudgeted run's"
@@ -75,8 +83,7 @@ fn a_byte_ceiling_below_the_unbounded_peak_holds_and_reproduces_the_report() {
 
     // Probe the unbounded peak with a ceiling nothing can exceed.
     let probe_dir = scratch("probe");
-    let probe = run_study_budgeted(
-        scenario(),
+    let probe = run_budgeted(
         CampaignConfig::default(),
         &BudgetPolicy::new(BudgetLimit::Bytes(u64::MAX), &probe_dir),
     )
@@ -89,8 +96,7 @@ fn a_byte_ceiling_below_the_unbounded_peak_holds_and_reproduces_the_report() {
     // A ceiling strictly below the unbounded peak forces spills.
     let limit = floor + (peak - floor) / 2;
     let dir = scratch("bytes");
-    let run = run_study_budgeted(
-        scenario(),
+    let run = run_budgeted(
         CampaignConfig::default(),
         &BudgetPolicy::new(BudgetLimit::Bytes(limit), &dir),
     )
@@ -111,8 +117,7 @@ fn a_byte_ceiling_below_the_unbounded_peak_holds_and_reproduces_the_report() {
 #[test]
 fn a_ceiling_below_the_floor_is_a_typed_refusal() {
     let dir = scratch("floor");
-    let err = run_study_budgeted(
-        scenario(),
+    let err = run_budgeted(
         CampaignConfig::default(),
         &BudgetPolicy::new(BudgetLimit::Bytes(1), &dir),
     )
@@ -147,7 +152,7 @@ fn budget_torn_kill_resume_matrix_converges_on_identical_reports() {
             dir: dir.clone(),
             disk_fault: DiskFaultProfile::Torn,
         };
-        let full = run_study_budgeted(scenario(), campaign, &budget)
+        let full = run_budgeted(campaign, &budget)
             .expect("torn spill I/O is healed by verify-and-retry, never fatal");
         assert_eq!(
             full.report, reference,
@@ -171,7 +176,6 @@ fn budget_torn_kill_resume_matrix_converges_on_identical_reports() {
         let policy = CheckpointPolicy {
             dir: ckpt_dir.clone(),
             every_days: 1,
-            on_drop: false,
             disk_fault: DiskFaultProfile::Torn,
         };
         let budget = BudgetPolicy {
@@ -213,13 +217,16 @@ fn budgeted_checkpointed_run_reports_identically() {
     let policy = CheckpointPolicy {
         dir: ckpt_dir,
         every_days: 1,
-        on_drop: false,
         disk_fault: DiskFaultProfile::Calm,
     };
     let budget = BudgetPolicy::new(BudgetLimit::Min, &spill_dir);
-    let run =
-        run_study_budgeted_checkpointed(scenario(), CampaignConfig::default(), &policy, &budget)
-            .expect("calm budgeted checkpointed run completes");
+    let run = Campaign::new(CampaignConfig::default())
+        .checkpoint(&policy)
+        .budget(&budget)
+        .run(scenario())
+        .expect("calm budgeted checkpointed run completes")
+        .into_budgeted()
+        .expect("a budgeted campaign");
     assert_eq!(run.report, reference);
     assert!(run.stats.partitions > 0);
 }

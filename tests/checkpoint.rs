@@ -17,10 +17,7 @@
 use std::path::PathBuf;
 
 use chatlens::checkpoint::{encode_snapshot, load_from_file, CheckpointError, FORMAT_VERSION};
-use chatlens::core::{
-    resume_study, run_study_checkpointed, run_study_with, CampaignState, CheckpointPolicy,
-};
-use chatlens::core::{resume_study_days, CampaignConfig};
+use chatlens::core::{run_study_with, Campaign, CampaignConfig, CampaignState, CheckpointPolicy};
 use chatlens::{Dataset, ScenarioConfig};
 
 /// Small world: ~75 groups per platform, still exercising every stage
@@ -42,15 +39,15 @@ fn scratch(tag: &str) -> PathBuf {
 fn run_with_daily_snapshots(tag: &str, threads: usize) -> (PathBuf, Dataset) {
     let dir = scratch(tag);
     let policy = CheckpointPolicy::daily(dir.clone());
-    let ds = run_study_checkpointed(
-        scenario(),
-        CampaignConfig {
-            threads,
-            ..CampaignConfig::default()
-        },
-        &policy,
-    )
-    .expect("snapshots save");
+    let ds = Campaign::new(CampaignConfig {
+        threads,
+        ..CampaignConfig::default()
+    })
+    .checkpoint(&policy)
+    .run(scenario())
+    .expect("snapshots save")
+    .into_dataset()
+    .expect("dataset");
     (dir, ds)
 }
 
@@ -71,7 +68,12 @@ fn every_day_boundary_chains_to_the_next() {
         let here: CampaignState = load_from_file(&w[0]).expect("snapshot loads");
         let next: CampaignState = load_from_file(&w[1]).expect("snapshot loads");
         let day = here.day;
-        let stepped = resume_study_days(&here, 1);
+        let stepped = Campaign::new(here.campaign)
+            .halt_after(day + 1)
+            .resume(&here)
+            .expect("one more day runs")
+            .into_halted()
+            .expect("halts at the next boundary");
         assert_eq!(stepped.day, day + 1);
         assert_eq!(
             normalized_bytes(stepped),
@@ -102,7 +104,11 @@ fn resume_is_bit_identical_at_any_thread_count() {
         for threads in [1usize, 2, 8] {
             let mut state: CampaignState = load_from_file(&path).expect("snapshot loads");
             state.campaign.threads = threads;
-            let mut resumed = resume_study(&state);
+            let mut resumed = Campaign::new(state.campaign)
+                .resume(&state)
+                .expect("resume completes")
+                .into_dataset()
+                .expect("dataset");
             resumed.metrics.strip_wall_clock();
             assert_eq!(
                 resumed, uninterrupted,

@@ -13,9 +13,7 @@
 use std::path::PathBuf;
 
 use chatlens::checkpoint::chain::{load_ledger, RecoveryEntry};
-use chatlens::core::{
-    recover_latest_state, resume_study, run_study_checkpointed, CampaignConfig, CheckpointPolicy,
-};
+use chatlens::core::{recover_latest_state, Campaign, CampaignConfig, CheckpointPolicy};
 use chatlens::simnet::fault::DiskFaultProfile;
 use chatlens::{run_study_with, Dataset, ScenarioConfig};
 
@@ -49,11 +47,14 @@ fn torn_storm_survives_a_kill_at_every_day_boundary() {
     let policy = CheckpointPolicy {
         dir: dir.clone(),
         every_days: 1,
-        on_drop: false,
         disk_fault: DiskFaultProfile::Torn,
     };
-    let mut torn = run_study_checkpointed(scenario(), CampaignConfig::default(), &policy)
-        .expect("torn-profile saves are tolerated, not fatal");
+    let mut torn = Campaign::new(CampaignConfig::default())
+        .checkpoint(&policy)
+        .run(scenario())
+        .expect("torn-profile saves are tolerated, not fatal")
+        .into_dataset()
+        .expect("dataset");
     torn.metrics.strip_wall_clock();
     assert_eq!(
         torn, fault_free,
@@ -84,7 +85,11 @@ fn torn_storm_survives_a_kill_at_every_day_boundary() {
 
         let mut state = state;
         state.campaign.threads = threads[kill_day as usize % threads.len()];
-        let mut resumed = resume_study(&state);
+        let mut resumed = Campaign::new(state.campaign)
+            .resume(&state)
+            .expect("resume completes")
+            .into_dataset()
+            .expect("dataset");
         resumed.metrics.strip_wall_clock();
         assert_eq!(
             resumed, fault_free,
@@ -140,7 +145,6 @@ fn whole_chain_damaged_falls_back_to_fresh_start() {
     let policy = CheckpointPolicy {
         dir: dir.clone(),
         every_days: 1,
-        on_drop: false,
         disk_fault: DiskFaultProfile::Calm,
     };
     let recovered = recover_latest_state(&policy, CampaignConfig::default().seed, None)

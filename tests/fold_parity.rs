@@ -11,7 +11,10 @@
 //! - across a kill/resume: an incrementally-checkpointed run is cut at a
 //!   mid-campaign snapshot, the folds are restored from the snapshot's
 //!   ledger (no raw-history replay), and the resumed run must land on
-//!   the same bytes.
+//!   the same bytes, and
+//! - across a halt: an incrementally-checkpointed run stopped at a day
+//!   boundary and resumed from its own chain lands on the bytes of the
+//!   uninterrupted incremental run.
 //!
 //! The datasets themselves are also asserted equal, so the fold plumbing
 //! provably does not perturb the collection pipeline.
@@ -19,8 +22,7 @@
 use chatlens::analysis::{batch_fragments, standard_folds};
 use chatlens::checkpoint::load_from_file;
 use chatlens::core::{
-    resume_study_folded, run_study_folded, run_study_folded_checkpointed, run_study_with,
-    CampaignState, CheckpointPolicy, FoldDriver,
+    recover_latest_state, run_study_with, Campaign, CampaignState, CheckpointPolicy, FoldDriver,
 };
 use chatlens::simnet::fault::{CorruptionProfile, FaultProfile};
 use chatlens::simnet::par::Pool;
@@ -46,6 +48,15 @@ fn campaign_for(profile: &str, threads: usize) -> CampaignConfig {
         other => panic!("unknown profile {other:?}"),
     };
     CampaignConfig { threads, ..base }
+}
+
+/// Per-test scratch directory under the system temp dir.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("chatlens-fold-parity-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
 }
 
 /// The batch reference: final dataset plus every batch fragment.
@@ -97,11 +108,12 @@ fn incremental_matches_batch_across_profiles_and_threads() {
         let (batch_ds, batch) = batch_reference(profile);
         for threads in [1usize, 2, 8] {
             let mut driver = FoldDriver::new(standard_folds(), threads);
-            let ds = run_study_folded(
-                ScenarioConfig::at_scale(SCALE),
-                campaign_for(profile, threads),
-                &mut driver,
-            );
+            let ds = Campaign::new(campaign_for(profile, threads))
+                .folds(&mut driver)
+                .run(ScenarioConfig::at_scale(SCALE))
+                .expect("folded run completes")
+                .into_dataset()
+                .expect("dataset");
             assert_eq!(
                 ds.campaign_report(),
                 batch_ds.campaign_report(),
@@ -121,23 +133,16 @@ fn incremental_matches_batch_across_profiles_and_threads() {
 fn incremental_survives_kill_and_resume() {
     for profile in PROFILES {
         let (batch_ds, batch) = batch_reference(profile);
-        let dir = std::env::temp_dir().join(format!(
-            "chatlens-fold-parity-{profile}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let dir = scratch(profile);
         let policy = CheckpointPolicy::daily(dir.clone());
 
         // The "killed" first attempt: full run, snapshots daily.
         let mut driver = FoldDriver::new(standard_folds(), 1);
-        run_study_folded_checkpointed(
-            ScenarioConfig::at_scale(SCALE),
-            campaign_for(profile, 1),
-            &policy,
-            &mut driver,
-        )
-        .expect("checkpointed folded run completes");
+        Campaign::new(campaign_for(profile, 1))
+            .checkpoint(&policy)
+            .folds(&mut driver)
+            .run(ScenarioConfig::at_scale(SCALE))
+            .expect("checkpointed folded run completes");
 
         // Resume from a mid-campaign snapshot with a *fresh* driver:
         // everything it knows about days 0..=17 must come from the
@@ -146,7 +151,12 @@ fn incremental_survives_kill_and_resume() {
         assert!(mid.exists(), "{profile}: day-17 snapshot missing");
         let state: CampaignState = load_from_file(&mid).expect("mid-campaign snapshot loads");
         let mut resumed = FoldDriver::new(standard_folds(), 1);
-        let ds = resume_study_folded(&state, &mut resumed);
+        let ds = Campaign::new(state.campaign)
+            .folds(&mut resumed)
+            .resume(&state)
+            .expect("resumed folded run completes")
+            .into_dataset()
+            .expect("dataset");
         assert_eq!(
             ds.campaign_report(),
             batch_ds.campaign_report(),
@@ -157,4 +167,59 @@ fn incremental_survives_kill_and_resume() {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Halt an incrementally-checkpointed run after day 20, recover the
+/// newest snapshot from its own chain, and resume it with a fresh driver:
+/// the fragments and the dataset equal the uninterrupted incremental
+/// run's.
+#[test]
+fn incremental_halted_and_resumed_matches_uninterrupted() {
+    let campaign = campaign_for("calm", 1);
+    let mut driver = FoldDriver::new(standard_folds(), 1);
+    let uninterrupted = Campaign::new(campaign)
+        .folds(&mut driver)
+        .run(ScenarioConfig::at_scale(SCALE))
+        .expect("folded run completes")
+        .into_dataset()
+        .expect("dataset");
+    let expected = driver.finish();
+
+    let dir = scratch("halt");
+    let policy = CheckpointPolicy::daily(dir.clone());
+    let mut halted = FoldDriver::new(standard_folds(), 1);
+    let state = Campaign::new(campaign)
+        .checkpoint(&policy)
+        .folds(&mut halted)
+        .halt_after(20)
+        .run(ScenarioConfig::at_scale(SCALE))
+        .expect("halted folded run completes")
+        .into_halted()
+        .expect("halts at day 20");
+    assert_eq!(state.day, 20);
+    assert!(state.folds.is_some(), "the halted state carries the folds");
+
+    let recovered = recover_latest_state(&policy, campaign.seed, None)
+        .expect("chain walk")
+        .state
+        .expect("the day-20 snapshot survives");
+    assert_eq!(recovered.day, 20);
+    let mut resumed = FoldDriver::new(standard_folds(), 1);
+    let ds = Campaign::new(recovered.campaign)
+        .checkpoint(&policy)
+        .folds(&mut resumed)
+        .resume(&recovered)
+        .expect("resumed folded run completes")
+        .into_dataset()
+        .expect("dataset");
+    assert_eq!(
+        ds.campaign_report(),
+        uninterrupted.campaign_report(),
+        "halted and resumed folded run perturbed the dataset"
+    );
+    let outcome = resumed.finish();
+    assert_eq!(outcome.days_folded, expected.days_folded);
+    assert_eq!(outcome.fragments, expected.fragments);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

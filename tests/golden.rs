@@ -31,7 +31,7 @@
 //! and justify the new bytes in the PR description.
 
 use chatlens::checkpoint::{encode_snapshot, load_from_file};
-use chatlens::core::{run_study_checkpointed, CampaignState, CheckpointPolicy};
+use chatlens::core::{Campaign, CampaignState, CheckpointPolicy};
 use chatlens::simnet::fault::{CorruptionProfile, FaultProfile};
 use chatlens::simnet::hash::sha256_hex;
 use chatlens::{run_study_with, CampaignConfig, ScenarioConfig};
@@ -127,8 +127,12 @@ fn run_profile_checkpointed(profile: &str) -> (String, String) {
         threads: 1,
         ..campaign_for(profile)
     };
-    let ds =
-        run_study_checkpointed(scenario, campaign, &policy).expect("checkpointed run completes");
+    let ds = Campaign::new(campaign)
+        .checkpoint(&policy)
+        .run(scenario)
+        .expect("checkpointed run completes")
+        .into_dataset()
+        .expect("dataset");
     let report = ds.campaign_report();
     let last = (0..num_days)
         .rev()

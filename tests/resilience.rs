@@ -339,7 +339,7 @@ fn service_recovers_to_baseline_after_outage_window() {
 #[test]
 fn bursty_checkpoint_resume_is_bit_identical() {
     use chatlens::checkpoint::load_from_file;
-    use chatlens::core::{resume_study, run_study_checkpointed, CampaignState, CheckpointPolicy};
+    use chatlens::core::{Campaign, CampaignState, CheckpointPolicy};
     let small = ScenarioConfig::at_scale(0.002);
     let campaign = CampaignConfig {
         profile: FaultProfile::Bursty,
@@ -351,7 +351,9 @@ fn bursty_checkpoint_resume_is_bit_identical() {
     let dir = std::env::temp_dir().join(format!("chatlens-bursty-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    run_study_checkpointed(small, campaign, &CheckpointPolicy::daily(dir.clone()))
+    Campaign::new(campaign)
+        .checkpoint(&CheckpointPolicy::daily(dir.clone()))
+        .run(small)
         .expect("snapshots save");
     // Kill mid-storm and resume at every thread count: the finished
     // dataset — burst phases, breaker states, backfill queues, gap ledger
@@ -360,7 +362,11 @@ fn bursty_checkpoint_resume_is_bit_identical() {
     for threads in [1usize, 2, 8] {
         let mut state: CampaignState = load_from_file(&path).expect("snapshot loads");
         state.campaign.threads = threads;
-        let mut resumed = resume_study(&state);
+        let mut resumed = Campaign::new(state.campaign)
+            .resume(&state)
+            .expect("resume completes")
+            .into_dataset()
+            .expect("dataset");
         resumed.metrics.strip_wall_clock();
         assert_eq!(
             dataset_fingerprint(&resumed),
